@@ -1,6 +1,56 @@
 #include "common/config.hpp"
 
+#include <cmath>
+#include <tuple>
+#include <utility>
+
 namespace ntcsim {
+
+std::string SystemConfig::validate() const {
+  const auto pow2 = [](std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; };
+  if (cores < 1) return "cores must be at least 1";
+  if (!(std::isfinite(ghz) && ghz > 0.0)) return "ghz must be finite and > 0";
+  for (const auto& [key, c] : {std::pair<std::string, const CacheConfig*>{
+                                   "l1", &l1},
+                               {"l2", &l2},
+                               {"llc", &llc}}) {
+    if (c->ways < 1) return key + ".ways must be at least 1";
+    if (!pow2(c->sets())) {
+      return key + ".size_kb / " + key + ".ways must give a power-of-two " +
+             "set count (got " + std::to_string(c->sets()) + ")";
+    }
+  }
+  if (ntc.entries() < 2) {
+    return "ntc.size_bytes must hold at least 2 lines (" +
+           std::to_string(2 * kLineBytes) + " bytes)";
+  }
+  if (!(ntc.overflow_threshold > 0.0 && ntc.overflow_threshold <= 1.0)) {
+    return "ntc.threshold must be in (0, 1]";
+  }
+  for (const auto& [key, m] : {std::pair<std::string, const MemCtrlConfig*>{
+                                   "nvm", &nvm},
+                               {"dram", &dram}}) {
+    if (!pow2(m->ranks)) return key + ".ranks must be a power of two";
+    if (!pow2(m->banks_per_rank)) return key + ".banks must be a power of two";
+    if (m->channels < 1) return key + ".channels must be at least 1";
+    if (!(m->drain_low_watermark >= 0.0 &&
+          m->drain_low_watermark <= m->drain_high_watermark &&
+          m->drain_high_watermark <= 1.0)) {
+      return key + ".drain_low / " + key +
+             ".drain_high must satisfy 0 <= drain_low <= drain_high <= 1";
+    }
+  }
+  if (topo.nodes < 1) return "topo.nodes must be at least 1";
+  for (const auto& [key, v, zero_ok] :
+       {std::tuple<const char*, double, bool>{"serve.rate", service.rate, false},
+        {"topo.hop_ns", topo.hop_ns, true},
+        {"topo.link_gbps", topo.link_gbps, false}}) {
+    if (!(std::isfinite(v) && (v > 0.0 || (zero_ok && v == 0.0)))) {
+      return std::string(key) + " must be finite and " + (zero_ok ? ">= 0" : "> 0");
+    }
+  }
+  return {};
+}
 
 DeviceTiming DeviceTiming::ddr3() {
   // DDR3/DDR4-class timings at a 2 GHz CPU clock (0.5 ns/cycle):

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "common/types.hpp"
@@ -272,6 +273,11 @@ struct SystemConfig : public NodeConfig {
   /// Tiny machine for unit tests: small caches/queues so that evictions,
   /// overflows and drains happen within a few thousand cycles.
   static SystemConfig tiny();
+
+  /// The first violated invariant, named by its config key, or "". Hoists
+  /// the checks components assert at construction (cache geometry, NTC
+  /// size, address map, service rate) so front ends can reject the input.
+  std::string validate() const;
 };
 
 }  // namespace ntcsim

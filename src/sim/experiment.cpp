@@ -1,7 +1,6 @@
 #include "sim/experiment.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include <chrono>
@@ -22,6 +21,52 @@ std::vector<Mechanism> matrix_mechanisms() {
 
 std::string_view mechanism_label(Mechanism mech) {
   return persist::DomainRegistry::instance().display_name(mech);
+}
+
+CellWorkload generate_cell(const SystemConfig& cfg,
+                           const workload::WorkloadParams& params,
+                           recovery::Journal* journal) {
+  const unsigned nodes = std::max(1u, cfg.topo.nodes);
+  // Each node is its own shard with its own heap and a node-mixed seed, so
+  // shards hold distinct data.
+  CellWorkload w;
+  w.traces.resize(nodes);
+  for (NodeId n = 0; n < nodes; ++n) {
+    workload::SimHeap heap(cfg.address_space, cfg.cores);
+    workload::WorkloadParams p = params;
+    p.seed = params.seed + n * 0x9e3779b9ULL;
+    for (CoreId c = 0; c < cfg.cores; ++c) {
+      w.traces[n].push_back(
+          workload::generate_phased(p, c, heap, n == 0 ? journal : nullptr));
+      // Open-loop service: stamp arrival cycles (relative to the measured
+      // phase's start; the core rebases them at bind time).
+      workload::stamp_service_arrivals(w.traces[n].back().measured,
+                                       cfg.service, c, params.seed, n);
+    }
+  }
+  // Shard the request stream: pick each request's entry node and charge
+  // cross-shard traffic the interconnect round trip (stamp-time, so the
+  // cell stays a pure function of its inputs).
+  if (nodes > 1 && cfg.service.enabled && cfg.service.open_loop) {
+    std::vector<std::vector<core::Trace*>> measured(nodes);
+    for (NodeId n = 0; n < nodes; ++n) {
+      for (workload::TraceBundle& b : w.traces[n]) {
+        measured[n].push_back(&b.measured);
+      }
+    }
+    w.route = topo::route_service_arrivals(measured, cfg.topo, cfg.ghz,
+                                           params.seed);
+  }
+  return w;
+}
+
+void load_phase(System& sys, CellWorkload& w, bool measured) {
+  for (NodeId n = 0; n < w.traces.size(); ++n) {
+    for (CoreId c = 0; c < w.traces[n].size(); ++c) {
+      workload::TraceBundle& b = w.traces[n][c];
+      sys.load_trace(n, c, std::move(measured ? b.measured : b.setup));
+    }
+  }
 }
 
 Metrics run_cell(Mechanism mech, WorkloadKind wl, const SystemConfig& base,
@@ -50,40 +95,10 @@ Metrics run_cell(Mechanism mech, WorkloadKind wl, const SystemConfig& base,
 
   // ntclint-suppress(determinism): self-profiling wall time, never simulated state
   const auto cell_start = std::chrono::steady_clock::now();
-  const unsigned nodes = std::max(1u, cfg.topo.nodes);
-  // Per-node generation: each node is its own shard with its own heap and
-  // a node-mixed workload seed, so shards hold distinct data. Node 0 uses
-  // params.seed untouched — single-node cells reproduce the pre-cluster
-  // traces bit-for-bit.
-  std::vector<std::vector<workload::TraceBundle>> bundles(nodes);
+  CellWorkload w;
   {
     NTC_PROF_SCOPE("cell.generate");
-    for (NodeId n = 0; n < nodes; ++n) {
-      workload::SimHeap heap(cfg.address_space, cfg.cores);
-      workload::WorkloadParams p = params;
-      p.seed = params.seed + n * 0x9e3779b9ULL;
-      for (CoreId c = 0; c < cfg.cores; ++c) {
-        bundles[n].push_back(workload::generate_phased(p, c, heap, nullptr));
-        // Open-loop service: stamp arrival cycles (relative to the
-        // measured phase's start; the core rebases them at bind time).
-        workload::stamp_service_arrivals(bundles[n].back().measured,
-                                         cfg.service, c, params.seed, n);
-      }
-    }
-  }
-  // Shard the request stream: pick each request's entry node and charge
-  // cross-shard traffic the interconnect round trip (stamp-time, so the
-  // cell stays a pure function of its inputs).
-  topo::RouteStats route;
-  if (nodes > 1 && cfg.service.enabled && cfg.service.open_loop) {
-    std::vector<std::vector<core::Trace*>> measured(nodes);
-    for (NodeId n = 0; n < nodes; ++n) {
-      for (CoreId c = 0; c < cfg.cores; ++c) {
-        measured[n].push_back(&bundles[n][c].measured);
-      }
-    }
-    route = topo::route_service_arrivals(measured, cfg.topo, cfg.ghz,
-                                         params.seed);
+    w = generate_cell(cfg, params);
   }
   System sys(cfg);
   auto require_finished = [&](const char* phase) {
@@ -96,24 +111,16 @@ Metrics run_cell(Mechanism mech, WorkloadKind wl, const SystemConfig& base,
   {
     // Phase 1: build the structures (warm caches/NTC/NVM), unmeasured.
     NTC_PROF_SCOPE("cell.setup");
-    for (NodeId n = 0; n < nodes; ++n) {
-      for (CoreId c = 0; c < cfg.cores; ++c) {
-        sys.load_trace(n, c, std::move(bundles[n][c].setup));
-      }
-    }
+    load_phase(sys, w, /*measured=*/false);
     sys.run();
     require_finished("setup");
   }
   sys.reset_stats();
-  sys.note_route_stats(route);
+  sys.note_route_stats(w.route);
   {
     // Phase 2: the steady state the paper's figures report.
     NTC_PROF_SCOPE("cell.measured");
-    for (NodeId n = 0; n < nodes; ++n) {
-      for (CoreId c = 0; c < cfg.cores; ++c) {
-        sys.load_trace(n, c, std::move(bundles[n][c].measured));
-      }
-    }
+    load_phase(sys, w, /*measured=*/true);
     sys.run();
     require_finished("measured");
   }
@@ -194,42 +201,6 @@ void print_figure(std::ostream& os, const std::string& title,
   table.add_row("gmean", gmeans);
   table.print(os);
   os << '\n';
-}
-
-ExperimentOptions parse_bench_args(int argc, char** argv) {
-  ExperimentOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    // Flags take `--flag=value` or `--flag value`.
-    auto flag_value = [&](const char* flag) -> const char* {
-      const std::string eq = std::string(flag) + "=";
-      if (a.rfind(eq, 0) == 0) return argv[i] + eq.size();
-      if (a == flag && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
-    if (const char* v = flag_value("--jobs")) {
-      const long n = std::atol(v);
-      if (n > 0) opts.jobs = static_cast<unsigned>(n);
-    } else if (const char* v = flag_value("--scale")) {
-      const double s = std::atof(v);
-      if (s > 0.0) opts.scale = s;
-    } else if (a == "--profile") {
-      opts.profile = true;
-    } else if (a.rfind("--profile=", 0) == 0) {
-      opts.profile = true;
-      opts.profile_out = a.substr(10);
-    } else if (a.rfind("--", 0) != 0) {
-      const double s = std::atof(a.c_str());
-      if (s > 0.0) opts.scale = s;
-    }
-  }
-  if (const char* env = std::getenv("NTCSIM_SCALE")) {
-    const double s = std::atof(env);
-    if (s > 0.0) opts.scale = s;
-  }
-  // opts.jobs == 0 ("auto") defers to NTCSIM_JOBS / hardware_concurrency
-  // inside default_jobs(), so the flag wins over the environment.
-  return opts;
 }
 
 }  // namespace ntcsim::sim

@@ -12,6 +12,7 @@
 #include "common/config.hpp"
 #include "sim/metrics.hpp"
 #include "sim/system.hpp"
+#include "recovery/journal.hpp"
 #include "workload/workloads.hpp"
 
 namespace ntcsim::sim {
@@ -52,6 +53,21 @@ struct ExperimentOptions {
   std::string profile_out = "BENCH_selfperf.json";
 };
 
+/// One cell's traces[node][core], arrivals stamped and (multi-node open
+/// loop) routed to their home shards. Node n uses seed params.seed +
+/// n * 0x9e3779b9, so node 0 reproduces single-node traces bit for bit;
+/// `journal` records node 0's transactions for the atomicity oracle.
+struct CellWorkload {
+  std::vector<std::vector<workload::TraceBundle>> traces;
+  topo::RouteStats route;
+};
+CellWorkload generate_cell(const SystemConfig& cfg,
+                           const workload::WorkloadParams& params,
+                           recovery::Journal* journal = nullptr);
+
+/// Install every node's setup traces, or with `measured` its measured ones.
+void load_phase(System& sys, CellWorkload& w, bool measured);
+
 /// One cell of the evaluation matrix.
 Metrics run_cell(Mechanism mech, WorkloadKind wl, const SystemConfig& base,
                  const ExperimentOptions& opts = {});
@@ -73,7 +89,8 @@ void print_figure(std::ostream& os, const std::string& title,
 /// `--scale X`), `--jobs=N`/`--jobs N` (worker threads; NTCSIM_JOBS is the
 /// env equivalent, the flag wins), and `--profile[=FILE]` (self-perf
 /// report, default BENCH_selfperf.json). NTCSIM_SCALE overrides any argv
-/// scale.
+/// scale. These are rows of the `ntcsim` flag table (sim/config_io.hpp);
+/// a bad or unknown argument prints a message and exits 1.
 ExperimentOptions parse_bench_args(int argc, char** argv);
 
 double geometric_mean(const std::vector<double>& v);

@@ -219,73 +219,60 @@ recovery::WordImage Node::crash_and_recover() const {
   return domain_->recover(*durable_);
 }
 
-Metrics Node::metrics(Cycle cycles) const {
+void NodeRaw::merge(const NodeRaw& o) {
+  for (std::uint64_t NodeRaw::* f :
+       {&NodeRaw::retired, &NodeRaw::txs, &NodeRaw::llc_hits,
+        &NodeRaw::llc_misses, &NodeRaw::nvm_writes, &NodeRaw::nvm_reads,
+        &NodeRaw::dram_writes, &NodeRaw::llc_wb_dropped, &NodeRaw::ntc_spills,
+        &NodeRaw::ntc_stalls, &NodeRaw::pload_n, &NodeRaw::req_n,
+        &NodeRaw::check_violations}) {
+    this->*f += o.*f;
+  }
+  pload_sum += o.pload_sum;
+  req_sum += o.req_sum;
+  pload_hist.merge(o.pload_hist);
+  req_hist.merge(o.req_hist);
+}
+
+Metrics derive(const NodeRaw& r, Cycle cycles, std::uint64_t cores) {
   Metrics m;
   m.cycles = cycles;
-  for (unsigned c = 0; c < cfg_.cores; ++c) {
-    m.retired_uops += m_retired_[c]->value();
-    m.committed_txs += m_txs_[c]->value();
-  }
+  m.retired_uops = r.retired;
+  m.committed_txs = r.txs;
   if (m.cycles > 0) {
     m.ipc = static_cast<double>(m.retired_uops) / static_cast<double>(m.cycles);
     m.tx_per_kilocycle = 1000.0 * static_cast<double>(m.committed_txs) /
                          static_cast<double>(m.cycles);
+    m.ntc_stall_frac = static_cast<double>(r.ntc_stalls) /
+                       static_cast<double>(m.cycles * cores);
   }
-  const std::uint64_t hits = m_llc_hits_->value();
-  const std::uint64_t misses = m_llc_misses_->value();
-  if (hits + misses > 0) {
-    m.llc_miss_rate =
-        static_cast<double>(misses) / static_cast<double>(hits + misses);
+  if (r.llc_hits + r.llc_misses > 0) {
+    m.llc_miss_rate = static_cast<double>(r.llc_misses) /
+                      static_cast<double>(r.llc_hits + r.llc_misses);
   }
-  m.nvm_writes = m_nvm_writes_->value();
-  m.nvm_reads = m_nvm_reads_->value();
-  m.dram_writes = m_dram_writes_->value();
-  m.llc_wb_dropped = m_llc_wb_dropped_->value();
-  for (const CounterHandle& h : m_ntc_spills_) m.ntc_spills += h->value();
-
-  double pload_sum = 0.0;
-  std::uint64_t pload_n = 0;
-  std::uint64_t ntc_stalls = 0;
-  for (unsigned c = 0; c < cfg_.cores; ++c) {
-    pload_sum += m_pload_lat_[c]->sum();
-    pload_n += m_pload_lat_[c]->count();
-    ntc_stalls += m_ntc_stalls_[c]->value();
+  m.nvm_writes = r.nvm_writes;
+  m.nvm_reads = r.nvm_reads;
+  m.dram_writes = r.dram_writes;
+  m.llc_wb_dropped = r.llc_wb_dropped;
+  m.ntc_spills = r.ntc_spills;
+  if (r.pload_n > 0) {
+    m.pload_latency = r.pload_sum / static_cast<double>(r.pload_n);
   }
-  if (pload_n > 0) m.pload_latency = pload_sum / static_cast<double>(pload_n);
-  {
-    // Percentiles from the merged per-core histograms (bucketed: edges are
-    // power-of-two upper bounds).
-    Histogram merged;
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-      merged.merge(*m_pload_hist_[c]);
-    }
-    if (merged.total() > 0) {
-      m.pload_latency_p50 = merged.percentile_edge(50.0);
-      m.pload_latency_p99 = merged.percentile_edge(99.0);
-    }
+  // Percentiles from the merged per-core histograms (bucketed: edges are
+  // power-of-two upper bounds).
+  if (r.pload_hist.total() > 0) {
+    m.pload_latency_p50 = r.pload_hist.percentile_edge(50.0);
+    m.pload_latency_p99 = r.pload_hist.percentile_edge(99.0);
   }
-  if (m.cycles > 0) {
-    m.ntc_stall_frac = static_cast<double>(ntc_stalls) /
-                       static_cast<double>(m.cycles * cfg_.cores);
+  m.requests = r.req_n;
+  if (r.req_n > 0) m.req_latency = r.req_sum / static_cast<double>(r.req_n);
+  if (r.req_hist.total() > 0) {
+    m.req_latency_p50 = r.req_hist.percentile_edge(50.0);
+    m.req_latency_p95 = r.req_hist.percentile_edge(95.0);
+    m.req_latency_p99 = r.req_hist.percentile_edge(99.0);
+    m.req_latency_p999 = r.req_hist.percentile_edge(99.9);
   }
-  {
-    double req_sum = 0.0;
-    std::uint64_t req_n = 0;
-    for (unsigned c = 0; c < cfg_.cores; ++c) {
-      req_sum += m_req_lat_[c]->sum();
-      req_n += m_req_lat_[c]->count();
-    }
-    m.requests = req_n;
-    if (req_n > 0) m.req_latency = req_sum / static_cast<double>(req_n);
-    const Histogram merged = request_latency_histogram();
-    if (merged.total() > 0) {
-      m.req_latency_p50 = merged.percentile_edge(50.0);
-      m.req_latency_p95 = merged.percentile_edge(95.0);
-      m.req_latency_p99 = merged.percentile_edge(99.0);
-      m.req_latency_p999 = merged.percentile_edge(99.9);
-    }
-  }
-  if (checker_ != nullptr) m.check_violations = checker_->violation_count();
+  m.check_violations = r.check_violations;
   return m;
 }
 
@@ -313,10 +300,6 @@ NodeRaw Node::raw() const {
   return r;
 }
 
-Histogram Node::request_latency_histogram() const {
-  Histogram merged;
-  for (unsigned c = 0; c < cfg_.cores; ++c) merged.merge(*m_req_hist_[c]);
-  return merged;
-}
+Histogram Node::request_latency_histogram() const { return raw().req_hist; }
 
 }  // namespace ntcsim::sim

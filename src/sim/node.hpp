@@ -40,8 +40,9 @@ struct SystemOptions {
   bool force_check_off = false;
 };
 
-/// Raw statistic sums a Cluster needs to aggregate node metrics exactly
-/// (same summation order and intermediate types as a single node uses).
+/// Raw statistic sums behind Metrics: one node's, or a merge of several.
+/// derive() turns them into the reported figures, so a node, a cluster
+/// and each cluster row share one copy of the metric math.
 struct NodeRaw {
   std::uint64_t retired = 0;
   std::uint64_t txs = 0;
@@ -60,7 +61,14 @@ struct NodeRaw {
   Histogram pload_hist;  ///< Merged across this node's cores.
   Histogram req_hist;    ///< Merged across this node's cores.
   std::uint64_t check_violations = 0;
+
+  /// Add another node's sums; merged into a zeroed NodeRaw, a NodeRaw
+  /// comes out exactly (0.0 + x == x for the double sums).
+  void merge(const NodeRaw& o);
 };
+
+/// Metrics over `cycles` elapsed cycles on `cores` cores in total.
+Metrics derive(const NodeRaw& r, Cycle cycles, std::uint64_t cores);
 
 class Node {
  public:
@@ -92,8 +100,8 @@ class Node {
 
   /// Metrics over `cycles` elapsed since the last reset_stats() (the
   /// Cluster tracks the epoch; cycles are global).
-  Metrics metrics(Cycle cycles) const;
-  /// Raw sums for exact cross-node aggregation.
+  Metrics metrics(Cycle cycles) const { return derive(raw(), cycles, cfg_.cores); }
+  /// Raw sums since the last reset_stats(), for exact aggregation.
   NodeRaw raw() const;
   /// Merged per-core request-latency histogram since the last reset_stats().
   Histogram request_latency_histogram() const;

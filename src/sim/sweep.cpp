@@ -1,21 +1,22 @@
 #include "sim/sweep.hpp"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
 
+#include "sim/config_io.hpp"
 #include "sim/profiler.hpp"
 
 namespace ntcsim::sim {
 
 unsigned default_jobs() {
-  if (const char* env = std::getenv("NTCSIM_JOBS")) {
-    const long n = std::atol(env);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
+  unsigned n = 0;
+  const char* env = std::getenv("NTCSIM_JOBS");
+  if (env != nullptr && parse_scalar(env, n, 1u, 1024u).empty()) return n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
@@ -65,6 +66,12 @@ void parallel_for(std::size_t count, unsigned jobs,
 
 std::vector<Metrics> run_sweep(const std::vector<JobSpec>& specs,
                                unsigned jobs) {
+  for (const JobSpec& s : specs) {
+    if (const std::string e = s.cfg.validate(); !e.empty()) {
+      std::fprintf(stderr, "invalid configuration: %s\n", e.c_str());
+      std::exit(1);
+    }
+  }
   // Honor --profile from the specs (run_matrix copies one options struct
   // into every spec). A session already opened by an outer caller — e.g.
   // the ntcsim driver — wins; this inner one is then inert.

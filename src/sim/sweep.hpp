@@ -20,7 +20,7 @@
 namespace ntcsim::sim {
 
 /// Worker-thread count used when the caller passes jobs == 0 ("auto"):
-/// the NTCSIM_JOBS environment variable if set to a positive integer,
+/// the NTCSIM_JOBS environment variable if it is a whole number in 1..1024,
 /// otherwise std::thread::hardware_concurrency(), never less than 1.
 unsigned default_jobs();
 
@@ -60,6 +60,9 @@ struct JobSpec {
 /// Seeds are taken from each spec's opts, so a sweep that wants distinct
 /// random streams per point sets opts.seed per spec; the common case —
 /// same seed, different configs — reproduces the serial harness exactly.
+/// Every spec's machine is checked with SystemConfig::validate() first; an
+/// invalid one prints the violated invariant and exits 1 (the bench
+/// binaries' boundary check) instead of aborting inside a cell.
 std::vector<Metrics> run_sweep(const std::vector<JobSpec>& specs,
                                unsigned jobs);
 

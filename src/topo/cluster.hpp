@@ -63,10 +63,10 @@ class Cluster {
   bool timed_out() const { return timed_out_; }
   Cycle now() const { return now_; }
 
-  /// Aggregate metrics across nodes. Single-node clusters return node 0's
-  /// metrics verbatim (per_node stays empty); multi-node clusters compute
-  /// cluster-wide sums/rates and attach a per-node breakdown plus the
-  /// routing stats recorded via note_route_stats().
+  /// Aggregate metrics: every node's NodeRaw merged, then derive(). A
+  /// single node's metrics are therefore its own, bit for bit (per_node
+  /// stays empty); multi-node clusters attach a per-node breakdown plus
+  /// the routing stats recorded via note_route_stats().
   Metrics metrics() const;
   /// Merged request-latency histogram across every node's cores since the
   /// last reset_stats() (timeline windows diff successive snapshots).

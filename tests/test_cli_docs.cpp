@@ -1,8 +1,9 @@
-// CLI/documentation drift guard: the flag set in `ntcsim --help` (shared
-// via sim/cli_help.hpp) and the CLI reference in EXPERIMENTS.md (the
-// region between the cli-flags-begin/end markers) must list exactly the
-// same flags. Adding a flag to one without the other fails here.
-#include "sim/cli_help.hpp"
+// CLI/documentation drift guard: the flag set in `ntcsim --help`
+// (generated from the flag table by sim::cli_help()) and the CLI reference
+// in EXPERIMENTS.md (the region between the cli-flags-begin/end markers)
+// must list exactly the same flags. Adding a flag to one without the other
+// fails here.
+#include "sim/config_io.hpp"
 
 #include <gtest/gtest.h>
 
@@ -57,17 +58,17 @@ std::string cli_reference_region() {
 }
 
 TEST(CliDocs, EveryDocumentedFlagIsInHelp) {
-  const std::set<std::string> help = extract_flags(kCliHelp);
+  const std::set<std::string> help = extract_flags(cli_help());
   for (const std::string& flag : extract_flags(cli_reference_region())) {
     EXPECT_TRUE(help.count(flag) > 0)
         << flag << " is documented in EXPERIMENTS.md but missing from "
-        << "`ntcsim --help` (src/sim/cli_help.hpp)";
+        << "`ntcsim --help` (the flag table in src/sim/config_io.cpp)";
   }
 }
 
 TEST(CliDocs, EveryHelpFlagIsDocumented) {
   const std::set<std::string> documented = extract_flags(cli_reference_region());
-  for (const std::string& flag : extract_flags(kCliHelp)) {
+  for (const std::string& flag : extract_flags(cli_help())) {
     EXPECT_TRUE(documented.count(flag) > 0)
         << flag << " is in `ntcsim --help` but missing from the CLI "
         << "reference in EXPERIMENTS.md (between the cli-flags markers)";
@@ -75,7 +76,7 @@ TEST(CliDocs, EveryHelpFlagIsDocumented) {
 }
 
 TEST(CliDocs, HelpMentionsTheEnvEquivalents) {
-  const std::string help(kCliHelp);
+  const std::string help = cli_help();
   EXPECT_NE(help.find("NTCSIM_JOBS"), std::string::npos);
   EXPECT_NE(help.find("NTCSIM_CHECK"), std::string::npos);
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 namespace ntcsim {
 namespace {
 
@@ -67,6 +70,40 @@ TEST(Config, TinyIsSmallButValid) {
   EXPECT_GE(c.ntc.entries(), 2u);
   EXPECT_GT(c.l1.sets(), 0u);
   EXPECT_GT(c.llc.sets(), 0u);
+}
+
+TEST(Config, PresetsValidate) {
+  EXPECT_EQ(SystemConfig::paper().validate(), "");
+  EXPECT_EQ(SystemConfig::experiment().validate(), "");
+  EXPECT_EQ(SystemConfig::tiny().validate(), "");
+}
+
+TEST(Config, ValidateNamesTheBrokenKey) {
+  const struct {
+    void (*spoil)(SystemConfig&);
+    const char* key;
+  } cases[] = {
+      {[](SystemConfig& c) { c.cores = 0; }, "cores"},
+      {[](SystemConfig& c) { c.ghz = 0.0; }, "ghz"},
+      {[](SystemConfig& c) { c.l2.ways = 0; }, "l2.ways"},
+      {[](SystemConfig& c) { c.llc.ways = 3; }, "llc.size_kb"},
+      {[](SystemConfig& c) { c.ntc.size_bytes = kLineBytes; }, "ntc.size_bytes"},
+      {[](SystemConfig& c) { c.ntc.overflow_threshold = 1.5; }, "ntc.threshold"},
+      {[](SystemConfig& c) { c.nvm.ranks = 3; }, "nvm.ranks"},
+      {[](SystemConfig& c) { c.dram.banks_per_rank = 0; }, "dram.banks"},
+      {[](SystemConfig& c) { c.nvm.channels = 0; }, "nvm.channels"},
+      {[](SystemConfig& c) { c.dram.drain_low_watermark = 0.9; }, "dram.drain_low"},
+      {[](SystemConfig& c) { c.service.rate = std::nan(""); }, "serve.rate"},
+      {[](SystemConfig& c) { c.topo.nodes = 0; }, "topo.nodes"},
+      {[](SystemConfig& c) { c.topo.hop_ns = -1.0; }, "topo.hop_ns"},
+      {[](SystemConfig& c) { c.topo.link_gbps = HUGE_VAL; }, "topo.link_gbps"},
+  };
+  for (const auto& c : cases) {
+    SystemConfig cfg = SystemConfig::tiny();
+    c.spoil(cfg);
+    const std::string why = cfg.validate();
+    EXPECT_NE(why.find(c.key), std::string::npos) << c.key << ": " << why;
+  }
 }
 
 TEST(Config, MechanismNames) {

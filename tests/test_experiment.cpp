@@ -1,5 +1,7 @@
 #include "sim/experiment.hpp"
 
+#include "sim/config_io.hpp"
+
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -65,7 +67,10 @@ TEST(ParseBenchArgs, ScaleFromArgvAndEnv) {
   EXPECT_DOUBLE_EQ(parse_bench_args(1, argv0).scale, 1.0);
   char bad[] = "-3";
   char* argv2[] = {prog, bad};
-  EXPECT_DOUBLE_EQ(parse_bench_args(2, argv2).scale, 1.0);  // ignored
+  ExperimentOptions opts;
+  const ConfigParseResult r = parse_bench_args(2, argv2, opts);
+  EXPECT_FALSE(r.ok);  // rejected, not silently ignored
+  EXPECT_NE(r.error.find("-3"), std::string::npos) << r.error;
 }
 
 TEST(GeometricMeanEdge, RejectsNonPositive) {

@@ -12,7 +12,6 @@
 //   ntcsim --dump-config
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -23,219 +22,32 @@
 #include "faultsim/campaign.hpp"
 #include "persist/domain.hpp"
 #include "recovery/recovery.hpp"
-#include "sim/cli_help.hpp"
 #include "sim/config_io.hpp"
 #include "sim/experiment.hpp"
 #include "sim/profiler.hpp"
 #include "sim/report.hpp"
 #include "sim/sweep.hpp"
 #include "sim/system.hpp"
-#include "workload/service.hpp"
 #include "workload/workloads.hpp"
 
 namespace {
 
 using namespace ntcsim;
+using sim::CliOptions;
 
-void usage() { std::fputs(sim::kCliHelp, stdout); }
-
-struct Cli {
-  WorkloadKind workload = WorkloadKind::kRbtree;
-  Mechanism mechanism = Mechanism::kTc;
-  std::string preset = "experiment";
-  SystemConfig cfg = SystemConfig::experiment();
-  workload::WorkloadParams params;
-  bool have_params = false;
-  Cycle crash_at = 0;
-  bool crash_sweep = false;
-  std::string crash_report = "CRASH_sweep.json";
-  // Which cell coordinates were given explicitly (they narrow the
-  // --crash-sweep cell set; defaults sweep everything).
-  bool mech_explicit = false;
-  bool wl_explicit = false;
-  bool seed_explicit = false;
-  bool ops_explicit = false;
-  bool setup_explicit = false;
-  bool matrix = false;
-  unsigned jobs = 0;  // 0 = auto
-  double scale = 1.0;
-  bool profile = false;
-  std::string profile_out = "BENCH_selfperf.json";
-  bool csv = false;
-  bool stats = false;
-  bool dump_config = false;
-};
-
-bool parse_args(int argc, char** argv, Cli& cli) {
-  // Two passes: preset first (later keys overlay it).
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--preset=", 0) == 0) {
-      cli.preset = a.substr(9);
+void list_mechanisms() {
+  for (Mechanism m : persist::DomainRegistry::instance().all()) {
+    const persist::DomainInfo& info =
+        persist::DomainRegistry::instance().info(m);
+    std::string aliases;
+    for (const std::string& alias : info.aliases) {
+      aliases += aliases.empty() ? " (alias " : ", ";
+      aliases += alias;
     }
+    if (!aliases.empty()) aliases += ")";
+    std::printf("%-12s %-10s %s%s\n", info.name.c_str(), info.display.c_str(),
+                info.summary.c_str(), aliases.c_str());
   }
-  if (cli.preset == "paper") {
-    cli.cfg = SystemConfig::paper();
-  } else if (cli.preset == "experiment") {
-    cli.cfg = SystemConfig::experiment();
-  } else if (cli.preset == "tiny") {
-    cli.cfg = SystemConfig::tiny();
-  } else {
-    std::fprintf(stderr, "unknown preset \"%s\"\n", cli.preset.c_str());
-    return false;
-  }
-
-  std::string ops, setup, lookup, seed;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&a]() { return a.substr(a.find('=') + 1); };
-    if (a == "--help" || a == "-h") {
-      usage();
-      std::exit(0);
-    } else if (a.rfind("--workload=", 0) == 0) {
-      if (!sim::parse_workload(value(), cli.workload)) {
-        std::fprintf(stderr, "unknown workload \"%s\"\n", value().c_str());
-        return false;
-      }
-      cli.wl_explicit = true;
-    } else if (a.rfind("--mechanism=", 0) == 0) {
-      cli.mech_explicit = true;
-      if (!sim::parse_mechanism(value(), cli.mechanism)) {
-        std::fprintf(
-            stderr, "unknown mechanism \"%s\" (known: %s)\n", value().c_str(),
-            persist::DomainRegistry::instance().known_names().c_str());
-        return false;
-      }
-    } else if (a == "--list-mechanisms") {
-      for (Mechanism m : persist::DomainRegistry::instance().all()) {
-        const persist::DomainInfo& info =
-            persist::DomainRegistry::instance().info(m);
-        std::string aliases;
-        for (const std::string& alias : info.aliases) {
-          aliases += aliases.empty() ? " (alias " : ", ";
-          aliases += alias;
-        }
-        if (!aliases.empty()) aliases += ")";
-        std::printf("%-12s %-10s %s%s\n", info.name.c_str(),
-                    info.display.c_str(), info.summary.c_str(),
-                    aliases.c_str());
-      }
-      std::exit(0);
-    } else if (a.rfind("--preset=", 0) == 0) {
-      // handled above
-    } else if (a.rfind("--config=", 0) == 0) {
-      std::ifstream f(value());
-      if (!f) {
-        std::fprintf(stderr, "cannot open config \"%s\"\n", value().c_str());
-        return false;
-      }
-      const auto r = sim::apply_config(f, cli.cfg);
-      if (!r.ok) {
-        std::fprintf(stderr, "%s: %s\n", value().c_str(), r.error.c_str());
-        return false;
-      }
-    } else if (a == "--set" && i + 1 < argc) {
-      const auto r = sim::apply_config_line(argv[++i], cli.cfg);
-      if (!r.ok) {
-        std::fprintf(stderr, "--set: %s\n", r.error.c_str());
-        return false;
-      }
-    } else if (a.rfind("--ops=", 0) == 0) {
-      ops = value();
-    } else if (a.rfind("--setup=", 0) == 0) {
-      setup = value();
-    } else if (a.rfind("--lookup=", 0) == 0) {
-      lookup = value();
-    } else if (a.rfind("--seed=", 0) == 0) {
-      seed = value();
-    } else if (a.rfind("--crash-at=", 0) == 0) {
-      cli.crash_at = std::stoull(value());
-    } else if (a == "--crash-sweep") {
-      cli.crash_sweep = true;
-    } else if (a.rfind("--crash-points=", 0) == 0) {
-      cli.crash_sweep = true;
-      cli.cfg.crash.points = std::stoull(value());
-    } else if (a == "--minimize") {
-      cli.cfg.crash.minimize = true;
-    } else if (a.rfind("--crash-report=", 0) == 0) {
-      cli.crash_report = value();
-    } else if (a == "--check") {
-      cli.cfg.check = CheckMode::kCollect;
-    } else if (a.rfind("--check=", 0) == 0) {
-      if (!sim::parse_check_mode(value(), cli.cfg.check)) {
-        std::fprintf(stderr,
-                     "unknown --check mode \"%s\" (off | collect | fatal)\n",
-                     value().c_str());
-        return false;
-      }
-    } else if (a.rfind("--nodes=", 0) == 0) {
-      const unsigned long n = std::stoul(value());
-      if (n == 0) {
-        std::fprintf(stderr, "--nodes must be positive\n");
-        return false;
-      }
-      cli.cfg.topo.nodes = static_cast<unsigned>(n);
-    } else if (a == "--serve") {
-      cli.cfg.service.enabled = true;
-    } else if (a.rfind("--rate=", 0) == 0) {
-      cli.cfg.service.enabled = true;
-      cli.cfg.service.rate = std::stod(value());
-      if (cli.cfg.service.rate <= 0.0) {
-        std::fprintf(stderr, "--rate must be positive\n");
-        return false;
-      }
-    } else if (a.rfind("--requests=", 0) == 0) {
-      cli.cfg.service.enabled = true;
-      cli.cfg.service.requests = std::stoull(value());
-    } else if (a == "--closed-loop") {
-      cli.cfg.service.open_loop = false;
-    } else if (a == "--uniform") {
-      cli.cfg.service.poisson = false;
-    } else if (a == "--no-skip") {
-      cli.cfg.skip.enabled = false;
-    } else if (a == "--matrix") {
-      cli.matrix = true;
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      cli.jobs = static_cast<unsigned>(std::stoul(value()));
-    } else if (a == "--jobs" && i + 1 < argc) {
-      cli.jobs = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else if (a.rfind("--scale=", 0) == 0) {
-      cli.scale = std::stod(value());
-    } else if (a == "--scale" && i + 1 < argc) {
-      cli.scale = std::stod(argv[++i]);
-    } else if (a == "--profile") {
-      cli.profile = true;
-    } else if (a.rfind("--profile=", 0) == 0) {
-      cli.profile = true;
-      cli.profile_out = value();
-    } else if (a == "--csv") {
-      cli.csv = true;
-    } else if (a == "--stats") {
-      cli.stats = true;
-    } else if (a == "--dump-config") {
-      cli.dump_config = true;
-    } else {
-      std::fprintf(stderr, "unknown argument \"%s\" (try --help)\n",
-                   a.c_str());
-      return false;
-    }
-  }
-
-  cli.cfg.mechanism = cli.mechanism;
-  cli.params = workload::default_params(cli.workload);
-  cli.ops_explicit = !ops.empty();
-  cli.setup_explicit = !setup.empty();
-  if (!ops.empty()) cli.params.ops = std::stoull(ops);
-  if (cli.cfg.service.enabled && cli.cfg.service.requests > 0) {
-    cli.params.ops = cli.cfg.service.requests;  // --requests wins over --ops
-  }
-  if (!setup.empty()) cli.params.setup_elems = std::stoull(setup);
-  if (!lookup.empty()) {
-    cli.params.lookup_pct = static_cast<unsigned>(std::stoul(lookup));
-  }
-  cli.seed_explicit = !seed.empty();
-  if (!seed.empty()) cli.params.seed = std::stoull(seed);
-  return true;
 }
 
 // --crash-sweep: the deterministic fault-injection campaign (src/faultsim/).
@@ -244,35 +56,33 @@ bool parse_args(int argc, char** argv, Cli& cli) {
 // the cell set (a mechanism filter keeps its negative-control sibling, e.g.
 // sp!unordered rides with sp). Exit 2 when any expected-consistent cell
 // violated atomicity.
-int run_crash_sweep_mode(const Cli& cli) {
+int run_crash_sweep_mode(const CliOptions& cli) {
   SystemConfig cfg = cli.cfg;
-  if (cli.ops_explicit) cfg.crash.ops = cli.params.ops;
-  if (cli.setup_explicit) cfg.crash.setup = cli.params.setup_elems;
+  if (cli.has("--ops")) cfg.crash.ops = cli.ops;
+  if (cli.has("--setup")) cfg.crash.setup = cli.setup;
   cfg.crash.ops = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(
              static_cast<double>(cfg.crash.ops) * cli.scale));
 
   std::vector<faultsim::VariantSpec> variants = faultsim::default_variants();
-  if (cli.mech_explicit) {
-    std::vector<faultsim::VariantSpec> kept;
-    for (faultsim::VariantSpec& v : variants) {
-      if (v.mech == cli.mechanism) kept.push_back(std::move(v));
-    }
-    if (kept.empty()) {
+  if (cli.has("--mechanism")) {
+    std::erase_if(variants, [&](const faultsim::VariantSpec& v) {
+      return v.mech != cli.cfg.mechanism;
+    });
+    if (variants.empty()) {
       std::fprintf(stderr, "--crash-sweep: mechanism \"%s\" has no campaign "
                            "variant\n",
                    persist::DomainRegistry::instance()
-                       .info(cli.mechanism).name.c_str());
+                       .info(cli.cfg.mechanism).name.c_str());
       return 1;
     }
-    variants = std::move(kept);
   }
   const std::vector<WorkloadKind> workloads =
-      cli.wl_explicit ? std::vector<WorkloadKind>{cli.workload}
-                      : faultsim::default_workloads();
+      cli.has("--workload") ? std::vector<WorkloadKind>{cli.workload}
+                            : faultsim::default_workloads();
   std::vector<std::uint64_t> seeds;
-  if (cli.seed_explicit) {
-    seeds.push_back(cli.params.seed);
+  if (cli.has("--seed")) {
+    seeds.push_back(cli.seed);
   } else {
     for (unsigned s = 1; s <= std::max(1u, cfg.crash.seeds); ++s) {
       seeds.push_back(s);
@@ -314,14 +124,10 @@ int run_crash_sweep_mode(const Cli& cli) {
 // --matrix: the full mechanism x workload evaluation of the paper's §5 in
 // one invocation, cells fanned out over worker threads. CSV mode emits one
 // row per cell; otherwise the Fig. 6/7-style normalized tables print.
-int run_matrix_mode(const Cli& cli) {
-  sim::ExperimentOptions opts;
-  opts.scale = cli.scale;
-  opts.seed = cli.params.seed;
-  opts.jobs = cli.jobs;
+int run_matrix_mode(const CliOptions& cli) {
   sim::Matrix matrix;
   try {
-    matrix = sim::run_matrix(cli.cfg, opts);
+    matrix = sim::run_matrix(cli.cfg, cli);
   } catch (const std::runtime_error& e) {
     std::fprintf(stderr, "ntcsim: matrix aborted: %s\n", e.what());
     return 4;
@@ -330,7 +136,7 @@ int run_matrix_mode(const Cli& cli) {
   for (const auto& [wl, row] : matrix) {
     for (const auto& [mech, m] : row) check_violations += m.check_violations;
   }
-  if (cli.csv) {
+  if (cli.has("--csv")) {
     sim::write_matrix_csv(std::cout, matrix);
   } else {
     sim::print_figure(
@@ -350,41 +156,14 @@ int run_matrix_mode(const Cli& cli) {
   return 0;
 }
 
-int run(const Cli& cli) {
-  const unsigned nodes = std::max(1u, cli.cfg.topo.nodes);
+int run(const CliOptions& cli) {
   // The atomicity oracle (--crash-at) follows node 0, where the crash is
   // injected; other nodes' shards run without a journal.
   recovery::Journal journal(cli.cfg.cores);
-  std::vector<std::vector<workload::TraceBundle>> bundles(nodes);
-  for (NodeId n = 0; n < nodes; ++n) {
-    workload::SimHeap heap(cli.cfg.address_space, cli.cfg.cores);
-    workload::WorkloadParams p = cli.params;
-    p.seed = cli.params.seed + n * 0x9e3779b9ULL;
-    for (CoreId c = 0; c < cli.cfg.cores; ++c) {
-      bundles[n].push_back(workload::generate_phased(
-          p, c, heap, n == 0 ? &journal : nullptr));
-      workload::stamp_service_arrivals(bundles[n][c].measured,
-                                       cli.cfg.service, c, cli.params.seed, n);
-    }
-  }
-  topo::RouteStats route;
-  if (nodes > 1 && cli.cfg.service.enabled && cli.cfg.service.open_loop) {
-    std::vector<std::vector<core::Trace*>> measured(nodes);
-    for (NodeId n = 0; n < nodes; ++n) {
-      for (CoreId c = 0; c < cli.cfg.cores; ++c) {
-        measured[n].push_back(&bundles[n][c].measured);
-      }
-    }
-    route = topo::route_service_arrivals(measured, cli.cfg.topo, cli.cfg.ghz,
-                                         cli.params.seed);
-  }
+  sim::CellWorkload w = sim::generate_cell(cli.cfg, cli.params(), &journal);
 
   sim::System sys(cli.cfg);
-  for (NodeId n = 0; n < nodes; ++n) {
-    for (CoreId c = 0; c < cli.cfg.cores; ++c) {
-      sys.load_trace(n, c, std::move(bundles[n][c].setup));
-    }
-  }
+  sim::load_phase(sys, w, /*measured=*/false);
   if (sys.run() != sim::RunStatus::kFinished) {
     std::fprintf(stderr,
                  "ntcsim: setup phase hit the cycle cap — truncated run, "
@@ -392,12 +171,8 @@ int run(const Cli& cli) {
     return 4;
   }
   sys.reset_stats();
-  sys.note_route_stats(route);
-  for (NodeId n = 0; n < nodes; ++n) {
-    for (CoreId c = 0; c < cli.cfg.cores; ++c) {
-      sys.load_trace(n, c, std::move(bundles[n][c].measured));
-    }
-  }
+  sys.note_route_stats(w.route);
+  sim::load_phase(sys, w, /*measured=*/true);
 
   if (cli.crash_at > 0) {
     const Cycle epoch = sys.now();
@@ -431,8 +206,8 @@ int run(const Cli& cli) {
   const sim::Metrics m = sys.metrics();
 
   const std::string label = std::string(to_string(cli.workload)) + "/" +
-                            std::string(sim::mechanism_label(cli.mechanism));
-  if (cli.csv) {
+                            std::string(sim::mechanism_label(cli.cfg.mechanism));
+  if (cli.has("--csv")) {
     sim::write_metrics_csv_row(std::cout, label, m, /*header=*/true);
   } else {
     std::printf("%s on %s preset (%u cores)\n", label.c_str(),
@@ -485,18 +260,14 @@ int run(const Cli& cli) {
       }
     }
   }
-  if (cli.stats) {
+  if (cli.has("--stats")) {
     std::cout << "\n-- raw statistics --\n";
     sys.stats().dump(std::cout);
   }
   if (sys.checker() != nullptr) {
-    std::uint64_t violations = 0;
-    for (NodeId n = 0; n < sys.nodes(); ++n) {
-      violations += sys.checker(n)->violation_count();
-    }
     std::fprintf(stderr, "persistence-order checker: %llu violation(s)\n",
-                 static_cast<unsigned long long>(violations));
-    if (violations > 0) {
+                 static_cast<unsigned long long>(m.check_violations));
+    if (m.check_violations > 0) {
       for (NodeId n = 0; n < sys.nodes(); ++n) {
         if (sys.checker(n)->violation_count() > 0) sys.checker(n)->report(stderr);
       }
@@ -509,9 +280,20 @@ int run(const Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Cli cli;
-  if (!parse_args(argc, argv, cli)) return 1;
-  if (cli.dump_config) {
+  CliOptions cli;
+  if (const auto r = sim::parse_cli(argc, argv, cli); !r.ok) {
+    std::fprintf(stderr, "ntcsim: %s\n", r.error.c_str());
+    return 1;
+  }
+  if (cli.has("--help")) {
+    std::fputs(sim::cli_help().c_str(), stdout);
+    return 0;
+  }
+  if (cli.has("--list-mechanisms")) {
+    list_mechanisms();
+    return 0;
+  }
+  if (cli.has("--dump-config")) {
     sim::write_config(std::cout, cli.cfg);
     return 0;
   }
@@ -521,7 +303,9 @@ int main(int argc, char** argv) {
   if (cli.profile) {
     session = std::make_unique<sim::ProfileSession>(cli.profile_out);
   }
-  if (cli.crash_sweep) return run_crash_sweep_mode(cli);
-  if (cli.matrix) return run_matrix_mode(cli);
+  if (cli.has("--crash-sweep") || cli.has("--crash-points")) {
+    return run_crash_sweep_mode(cli);
+  }
+  if (cli.has("--matrix")) return run_matrix_mode(cli);
   return run(cli);
 }
