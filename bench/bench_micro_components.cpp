@@ -1,8 +1,12 @@
 // Microbenchmark M2 — host-side throughput of the substrate models:
 // simulation cycles per second for the end-to-end system, workload trace
-// generation rates, and the functional-image hot paths.
+// generation rates, the functional-image hot paths, and the per-cycle
+// scheduler paths (event heap, saturated memory controller).
 #include <benchmark/benchmark.h>
 
+#include "common/event_queue.hpp"
+#include "common/rng.hpp"
+#include "mem/memory_controller.hpp"
 #include "recovery/images.hpp"
 #include "sim/system.hpp"
 #include "workload/workloads.hpp"
@@ -79,5 +83,63 @@ void BM_WordImageWordsInLine(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WordImageWordsInLine);
+
+void BM_EventQueueChurn(benchmark::State& state) {
+  // Steady state of a busy cell: a few hundred latency callbacks pending,
+  // every cycle fires some and schedules more (fills, acks, transfers).
+  EventQueue q;
+  Rng rng(1);
+  std::uint64_t fired = 0;
+  std::uint64_t* counter = &fired;
+  Cycle now = 0;
+  for (int i = 0; i < 512; ++i) {
+    q.schedule_at(1 + rng.below(256), [counter, i] { *counter += i & 1; });
+  }
+  for (auto _ : state) {
+    for (int k = 0; k < 2; ++k) {
+      q.schedule_at(now + 1 + rng.below(256),
+                    [counter, now] { *counter += now & 1; });
+    }
+    q.drain_until(now++);
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(q.total_pushes()));
+  state.SetLabel("items = scheduled events");
+}
+BENCHMARK(BM_EventQueueChurn);
+
+void BM_MemoryControllerSaturatedWrites(benchmark::State& state) {
+  // Write-bound setup phase: the NVM controller's 64-entry write queue is
+  // kept full (with same-line repeats) and most cycles issue nothing
+  // because every bank is busy with a slow STT-RAM array write.
+  const MemCtrlConfig cfg = SystemConfig::experiment().nvm;
+  EventQueue events;
+  StatSet stats;
+  mem::MemoryController mc("nvm", cfg, events, stats);
+  Rng rng(2);
+  std::uint64_t acked = 0;
+  Addr line = 0;
+  Cycle now = 0;
+  for (auto _ : state) {
+    events.drain_until(now);
+    for (;;) {
+      mem::MemRequest w;
+      w.op = mem::MemOp::kWrite;
+      w.persistent = true;
+      if (!rng.chance(1, 8)) line = rng.below(1 << 14) * kLineBytes;
+      w.line_addr = line;
+      w.on_complete = [&acked](const mem::MemRequest&) { ++acked; };
+      if (!mc.enqueue(std::move(w), now)) break;
+    }
+    mc.tick(now++);
+  }
+  benchmark::DoNotOptimize(acked);
+  state.SetItemsProcessed(static_cast<std::int64_t>(now));
+  state.counters["writes_per_kcycle"] =
+      now > 0 ? 1000.0 * static_cast<double>(acked) / static_cast<double>(now)
+              : 0.0;
+  state.SetLabel("items = controller cycles");
+}
+BENCHMARK(BM_MemoryControllerSaturatedWrites);
 
 }  // namespace

@@ -3,11 +3,14 @@
 // memory controllers, transaction caches) run in the System main loop;
 // one-shot delayed actions go through this queue.
 //
-// The heap is hand-rolled rather than std::priority_queue for one hot-path
-// reason: popping must MOVE the callback out of the heap. priority_queue
-// only exposes a const top(), forcing a std::function copy per fired event
-// — and copying a std::function re-allocates any out-of-line capture.
-// Ordering is identical: (cycle, insertion sequence) ascending.
+// The binary heap orders trivially-copyable {when, seq, slot} records, so
+// a sift moves 24 bytes and never touches a std::function. The callbacks
+// themselves live in a slab: schedule_at() moves the callback into a slot
+// taken from a free list (or a new one), and firing moves it out and
+// returns the slot before invoking it, so a callback that schedules more
+// events reuses slots instead of growing the slab, and the slab never
+// holds a fired callback's captures. Ordering is (cycle, insertion
+// sequence) ascending; slot numbers never influence it.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +27,7 @@ class EventQueue {
 
   /// Schedule `cb` to fire at absolute cycle `when` (>= current drain point).
   /// Events scheduled for the same cycle fire in scheduling order.
-  void schedule_at(Cycle when, Callback cb) {
-    heap_.push_back(Event{when, next_seq_++, std::move(cb)});
-    sift_up_(heap_.size() - 1);
-  }
+  void schedule_at(Cycle when, Callback cb);
 
   /// Fire every event with time <= now, in (time, insertion) order.
   /// Callbacks may schedule further events, including for `now` itself.
@@ -37,6 +37,8 @@ class EventQueue {
   std::size_t size() const { return heap_.size(); }
   /// Cycle of the earliest pending event; only valid when !empty().
   Cycle next_cycle() const { return heap_.front().when; }
+  /// Drop every pending event (destroying its callback) and restart the
+  /// insertion sequence.
   void clear();
 
   /// Count of schedule_at() calls since construction (or clear()) — a
@@ -49,18 +51,18 @@ class EventQueue {
   struct Event {
     Cycle when;
     std::uint64_t seq;
-    Callback cb;
+    std::uint32_t slot;  ///< Index of the callback in slots_.
   };
 
-  bool before_(const Event& a, const Event& b) const {
+  static bool before_(const Event& a, const Event& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
   void sift_up_(std::size_t i);
   void sift_down_(std::size_t i);
-  /// Remove the front event, returning its callback by move.
-  Callback pop_front_();
 
   std::vector<Event> heap_;  ///< Binary min-heap over (when, seq).
+  std::vector<Callback> slots_;           ///< Callback slab.
+  std::vector<std::uint32_t> free_slots_;  ///< Reusable slab indices.
   std::uint64_t next_seq_ = 0;
 };
 

@@ -41,18 +41,6 @@ void Core::bind_trace(const Trace* trace) {
   trace_base_valid_ = false;
 }
 
-bool Core::forwarded_by_store_(const RobEntry* until, Addr addr) const {
-  const Addr word = word_of(addr);
-  for (const SbEntry& e : sb_) {
-    if (word_of(e.addr) == word) return true;
-  }
-  for (const RobEntry& e : rob_) {
-    if (&e == until) break;
-    if (e.op.kind == OpKind::kStore && word_of(e.op.addr) == word) return true;
-  }
-  return false;
-}
-
 bool Core::sb_holds_line_(Addr line) const {
   for (const SbEntry& e : sb_) {
     if (line_of(e.addr) == line) return true;
@@ -84,6 +72,14 @@ void Core::fetch_(Cycle now) {
         break;
       case OpKind::kLoad:
         e.issue_cycle = now;
+        if (const std::uint64_t* s = store_words_.find(word_of(e.op.addr))) {
+          e.store_seq = *s;
+        }
+        break;
+      case OpKind::kStore:
+        e.ready = true;
+        e.store_seq = ++stores_fetched_;
+        store_words_[word_of(e.op.addr)] = e.store_seq;
         break;
       case OpKind::kTxBegin:
         e.ready = true;
@@ -124,7 +120,7 @@ void Core::issue_loads_(Cycle now) {
   while (!unissued_q_.empty() && issued < cfg_.issue_width) {
     RobEntry* e = unissued_q_.front();
     ++issued;
-    if (forwarded_by_store_(e, e->op.addr)) {
+    if (e->store_seq > stores_drained_) {
       e->issued = true;
       e->ready = true;  // store-to-load forwarding: 1-cycle bypass
       stat_load_lat_->add(1.0);
@@ -192,6 +188,9 @@ void Core::drain_store_buffer_(Cycle now) {
         domain_->on_store_drained(now, id_, e.addr, e.value, e.tx);
       }
     }
+    stores_drained_ = e.seq;
+    const Addr word = word_of(e.addr);
+    if (*store_words_.find(word) == e.seq) store_words_.erase(word);
     sb_.pop_front();
     ++drained;
   }
@@ -224,6 +223,7 @@ bool Core::retire_one_(Cycle now) {
       s.value = e.op.value;
       s.persistent = e.op.persistent;
       s.tx = e.op.persistent ? mode_reg_ : kNoTx;
+      s.seq = e.store_seq;
       sb_.push_back(s);
       if (traits_.observes_tx_stores && s.persistent && s.tx != kNoTx) {
         domain_->on_store_retired(id_, s.tx);

@@ -14,6 +14,7 @@
 
 #include "cache/hierarchy.hpp"
 #include "check/events.hpp"
+#include "common/addr_table.hpp"
 #include "mem/request.hpp"
 #include "common/config.hpp"
 #include "common/hot.hpp"
@@ -64,6 +65,9 @@ class Core {
     bool issued = false;    ///< Loads: request sent to the hierarchy.
     Cycle ready_at = 0;     ///< Compute ops.
     Cycle issue_cycle = 0;  ///< Loads: latency measurement start.
+    /// Stores: own fetch sequence number. Loads: that of the youngest
+    /// older store to the same word still in flight at fetch (0: none).
+    std::uint64_t store_seq = 0;
   };
   struct SbEntry {
     Addr addr = 0;
@@ -72,6 +76,7 @@ class Core {
     TxId tx = kNoTx;
     bool hier_done = false;
     bool routed = false;  ///< Accepted by the domain's route_store().
+    std::uint64_t seq = 0;  ///< RobEntry::store_seq of the store.
   };
 
   /// Retire-blocking reasons, one pre-resolved counter each. Registered
@@ -97,7 +102,6 @@ class Core {
   void drain_nt_writes_(Cycle now);
   bool retire_one_(Cycle now);
   void on_load_done_(RobEntry* e);
-  bool forwarded_by_store_(const RobEntry* until, Addr addr) const;
   bool sb_holds_line_(Addr line) const;
   void note_stall_(Stall reason) {
     stat_stalls_[static_cast<std::size_t>(reason)]->inc();
@@ -122,6 +126,15 @@ class Core {
   std::deque<RobEntry> rob_;
   std::deque<RobEntry*> unissued_q_;  ///< Loads awaiting issue, in order.
   std::deque<SbEntry> sb_;
+
+  /// Store-to-load forwarding. Stores are numbered at fetch and leave the
+  /// ROB and then the store buffer in that order, so store n is still in
+  /// flight iff n > stores_drained_ — and a load forwards iff the store it
+  /// recorded at fetch (its word's youngest older in-flight store) is.
+  std::uint64_t stores_fetched_ = 0;
+  std::uint64_t stores_drained_ = 0;
+  /// word -> youngest in-flight store to it; erased when that store drains.
+  AddrTable<std::uint64_t> store_words_;
 
   // §4.2 registers: mode/TxID (0 = normal mode) and next-transaction-ID.
   TxId mode_reg_ = kNoTx;

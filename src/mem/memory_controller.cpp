@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <initializer_list>
 #include <memory>
 #include <utility>
 
@@ -19,10 +20,6 @@ MemoryController::MemoryController(std::string name, const MemCtrlConfig& cfg,
   banks_.assign(map_.total_banks(), Bank{cfg_.timing});
   acts_.assign(cfg_.ranks, {});
   last_write_end_.assign(cfg_.ranks, 0);
-  seen_lines_.reserve(std::max(cfg_.read_queue, cfg_.write_queue));
-  // Every array write bumps a per-line wear count; pre-sizing the table
-  // keeps the hot path off the rehash cliff for typical footprints.
-  wear_.reserve(1u << 15);
   stat_reads_ = CounterHandle(*stats_, name_ + ".reads");
   stat_writes_ = CounterHandle(*stats_, name_ + ".writes");
   for (unsigned s = 0; s < kSourceCount; ++s) {
@@ -48,107 +45,84 @@ bool MemoryController::enqueue(MemRequest req, Cycle now) {
                 "%s: unaligned request address 0x%" PRIx64
                 " (controllers operate on whole cache lines)",
                 name_.c_str(), req.line_addr);
+  // The drain-mode update is the one thing a tick does that
+  // next_event_cycle() does not promise: an issue that takes the write
+  // queue under the low watermark leaves drain mode at the NEXT tick. When
+  // the clock skipped that tick, apply it now, before this request changes
+  // the occupancy it would have seen.
+  if (now > last_tick_ + 1) update_drain_mode_();
   if (req.op == MemOp::kRead) {
     if (read_queue_full()) return false;
     // Forward from the write queue: a read of a line with a pending write is
     // serviced from the queue entry without touching the array.
-    for (const Pending& w : write_q_) {
+    for (const Pending& w : write_q_.entries) {
       if (w.req.line_addr == req.line_addr) {
         stat_wq_forwards_->inc();
         stat_reads_->inc();
         if (req.on_complete) {
-          auto cb = req.on_complete;
-          auto done = std::make_shared<MemRequest>(std::move(req));
-          events_->schedule_at(now + cfg_.bus_latency,
-                               [cb, done] { cb(*done); });
+          complete_at_(now + cfg_.bus_latency, std::move(req), false);
         }
         return true;
       }
     }
-    Pending p{std::move(req), now};
-    p.coord = map_.decode(p.req.line_addr);
-    p.flat_bank = map_.flat_bank(p.coord);
-    read_q_.push_back(std::move(p));
+    push_(read_q_, std::move(req), now);
     return true;
   }
   if (write_queue_full()) return false;
-  Pending p{std::move(req), now};
-  p.coord = map_.decode(p.req.line_addr);
-  p.flat_bank = map_.flat_bank(p.coord);
-  write_q_.push_back(std::move(p));
+  push_(write_q_, std::move(req), now);
   return true;
 }
 
-bool MemoryController::rank_constrained_(unsigned rank, bool is_read,
-                                         bool opens_row, Cycle now) const {
-  // tFAW: a fifth activation within the window must wait.
-  if (cfg_.tfaw > 0 && opens_row) {
-    const Cycle oldest = acts_[rank][0];  // kept sorted ascending
-    if (oldest + cfg_.tfaw > now) return true;
+void MemoryController::push_(RequestQueue& q, MemRequest req, Cycle now) {
+  Pending p;
+  p.req = std::move(req);
+  p.arrival = now;
+  p.coord = map_.decode(p.req.line_addr);
+  p.flat_bank = map_.flat_bank(p.coord);
+  for (const Pending& older : q.entries) {
+    if (older.req.line_addr == p.req.line_addr) {
+      p.blocked = true;
+      break;
+    }
   }
-  // tWTR: a read cannot follow a write on the same rank too closely.
-  if (cfg_.twtr > 0 && is_read &&
-      last_write_end_[rank] + cfg_.twtr > now) {
-    return true;
-  }
-  return false;
+  q.entries.push_back(std::move(p));
+  q.idle_until = 0;
 }
 
-int MemoryController::pick(const std::deque<Pending>& q, Cycle now) const {
+Cycle MemoryController::ready_cycle_(const Pending& p, bool hit) const {
+  Cycle t = banks_[p.flat_bank].busy_until();
+  // tFAW: a fifth activation within the window must wait.
+  if (cfg_.tfaw > 0 && !hit) {
+    t = std::max(t, acts_[p.coord.rank][0] + cfg_.tfaw);  // sorted ascending
+  }
+  // tWTR: a read cannot follow a write on the same rank too closely.
+  if (cfg_.twtr > 0 && p.req.op == MemOp::kRead) {
+    t = std::max(t, last_write_end_[p.coord.rank] + cfg_.twtr);
+  }
+  return t;
+}
+
+int MemoryController::pick(const std::deque<Pending>& q, Cycle now,
+                           Cycle* next) const {
   // §3: "different write requests of conflicted addresses are issued to the
-  // NVM in program order" — an entry is not schedulable while an older
-  // same-line entry is still queued. One forward sweep tracks the lines
-  // already seen, keeping the scan linear.
-  seen_lines_.clear();
+  // NVM in program order" — a blocked entry waits for its older same-line
+  // entry, so one pass over the unblocked ones decides.
   int oldest_ready = -1;
+  Cycle earliest = kNeverCycle;
   for (std::size_t i = 0; i < q.size(); ++i) {
-    const Addr line = q[i].req.line_addr;
-    const bool conflicted =
-        std::find(seen_lines_.begin(), seen_lines_.end(), line) !=
-        seen_lines_.end();
-    if (conflicted) continue;
-    seen_lines_.push_back(line);
-    const BankCoord& c = q[i].coord;
-    const Bank& bank = banks_[q[i].flat_bank];
-    if (!bank.ready_at(now)) continue;
-    const bool hit = bank.row_hit(c.row);
-    if (rank_constrained_(c.rank, q[i].req.op == MemOp::kRead, !hit, now)) {
+    const Pending& p = q[i];
+    if (p.blocked) continue;
+    const bool hit = banks_[p.flat_bank].row_hit(p.coord.row);
+    const Cycle at = ready_cycle_(p, hit);
+    if (at > now) {
+      earliest = std::min(earliest, at);
       continue;
     }
     if (hit) return static_cast<int>(i);  // FR: row hit first.
     if (oldest_ready < 0) oldest_ready = static_cast<int>(i);
   }
+  *next = earliest;
   return oldest_ready;  // FCFS among bank-ready row misses.
-}
-
-Cycle MemoryController::queue_next_(const std::deque<Pending>& q,
-                                    Cycle now) const {
-  // Mirror of pick(): for each non-conflicted entry, the earliest cycle at
-  // which its bank is ready and its rank constraints clear — valid while
-  // nothing issues, which is exactly the window the cluster may skip.
-  seen_lines_.clear();
-  Cycle next = kNeverCycle;
-  for (const Pending& p : q) {
-    const Addr line = p.req.line_addr;
-    const bool conflicted =
-        std::find(seen_lines_.begin(), seen_lines_.end(), line) !=
-        seen_lines_.end();
-    if (conflicted) continue;
-    // ntclint-suppress(hot-alloc): capacity reserved at construction
-    seen_lines_.push_back(line);
-    const Bank& bank = banks_[p.flat_bank];
-    Cycle t = std::max(now + 1, bank.busy_until());
-    const bool hit = bank.row_hit(p.coord.row);
-    if (cfg_.tfaw > 0 && !hit) {
-      t = std::max(t, acts_[p.coord.rank][0] + cfg_.tfaw);
-    }
-    if (cfg_.twtr > 0 && p.req.op == MemOp::kRead) {
-      t = std::max(t, last_write_end_[p.coord.rank] + cfg_.twtr);
-    }
-    if (t <= now + 1) return now + 1;
-    next = std::min(next, t);
-  }
-  return next;
 }
 
 Cycle MemoryController::next_event_cycle(Cycle now) const {
@@ -162,10 +136,15 @@ Cycle MemoryController::next_event_cycle(Cycle now) const {
     }
     next = std::min(next, t);
   }
-  if (next <= now + 1) return now + 1;
-  next = std::min(next, queue_next_(read_q_, now));
-  if (next <= now + 1) return now + 1;
-  next = std::min(next, queue_next_(write_q_, now));
+  // Each queue's earliest schedulable entry, valid while nothing issues —
+  // exactly the window the cluster may skip. A live idle bound already
+  // holds it; otherwise scan.
+  for (const RequestQueue* q : {&read_q_, &write_q_}) {
+    if (next <= now + 1) return now + 1;
+    Cycle t = q->idle_until;
+    if (t <= now && pick(q->entries, now, &t) >= 0) return now + 1;
+    next = std::min(next, t);
+  }
   return next <= now + 1 ? now + 1 : next;
 }
 
@@ -186,14 +165,45 @@ void MemoryController::maybe_refresh_(Cycle now) {
     }
     next_refresh_[r] = now + cfg_.refresh_interval;
     stat_refreshes_->inc();
+    read_q_.idle_until = 0;
+    write_q_.idle_until = 0;
   }
 }
 
-void MemoryController::tick(Cycle now) {
-  maybe_refresh_(now);
+bool MemoryController::try_issue_from_(RequestQueue& q, Cycle now) {
+  if (now < q.idle_until) {
+    if (verify_idle_bound_) {
+      Cycle unused;
+      NTC_CHECK_MSG(pick(q.entries, now, &unused) < 0,
+                    "%s: an entry is issuable at cycle %" PRIu64
+                    " inside the idle bound %" PRIu64,
+                    name_.c_str(), now, q.idle_until);
+    }
+    return false;
+  }
+  const int i = pick(q.entries, now, &q.idle_until);
+  if (i < 0) return false;
+  auto it = q.entries.begin() + i;
+  Pending p = std::move(*it);
+  // The oldest remaining entry to the same line is next in program order.
+  for (it = q.entries.erase(it); it != q.entries.end(); ++it) {
+    if (it->req.line_addr == p.req.line_addr) {
+      it->blocked = false;
+      break;
+    }
+  }
+  // Issuing opens a row (lifting tFAW for hits behind it) and moves bank,
+  // bus and tWTR state: both bounds are stale.
+  read_q_.idle_until = 0;
+  write_q_.idle_until = 0;
+  issue(std::move(p), now);
+  return true;
+}
+
+void MemoryController::update_drain_mode_() {
   // Write-drain policy (Table 2): read-first normally; once the write queue
   // crosses the high watermark, service writes until the low watermark.
-  const double occ = static_cast<double>(write_q_.size()) /
+  const double occ = static_cast<double>(write_q_.entries.size()) /
                      static_cast<double>(cfg_.write_queue);
   if (!draining_ && occ >= cfg_.drain_high_watermark) {
     draining_ = true;
@@ -201,24 +211,21 @@ void MemoryController::tick(Cycle now) {
   } else if (draining_ && occ <= cfg_.drain_low_watermark) {
     draining_ = false;
   }
+}
 
-  auto try_issue_from = [&](std::deque<Pending>& q) {
-    const int i = pick(q, now);
-    if (i < 0) return false;
-    Pending p = std::move(q[static_cast<std::size_t>(i)]);
-    q.erase(q.begin() + i);
-    issue(std::move(p), now);
-    return true;
-  };
+void MemoryController::tick(Cycle now) {
+  maybe_refresh_(now);
+  update_drain_mode_();
+  last_tick_ = now;
 
   if (draining_) {
-    if (try_issue_from(write_q_)) return;
-    try_issue_from(read_q_);
+    if (try_issue_from_(write_q_, now)) return;
+    try_issue_from_(read_q_, now);
   } else {
-    if (try_issue_from(read_q_)) return;
+    if (try_issue_from_(read_q_, now)) return;
     // Opportunistic writes: reads have priority, but an idle channel may
     // still retire writes (read-first, not read-only).
-    if (read_q_.empty()) try_issue_from(write_q_);
+    if (read_q_.entries.empty()) try_issue_from_(write_q_, now);
   }
 }
 
@@ -257,13 +264,20 @@ void MemoryController::issue(Pending p, Cycle now) {
   }
 
   ++in_flight_;
-  auto done_req = std::make_shared<MemRequest>(std::move(p.req));
-  events_->schedule_at(completion + cfg_.bus_latency, [this, done_req] {
-    NTC_CHECK_MSG(in_flight_ > 0,
-                  "%s: completion for line 0x%" PRIx64
-                  " with no request in flight",
-                  name_.c_str(), done_req->line_addr);
-    --in_flight_;
+  complete_at_(completion + cfg_.bus_latency, std::move(p.req), true);
+}
+
+void MemoryController::complete_at_(Cycle when, MemRequest req,
+                                    bool in_flight) {
+  auto done_req = std::make_shared<MemRequest>(std::move(req));
+  events_->schedule_at(when, [this, done_req, in_flight] {
+    if (in_flight) {
+      NTC_CHECK_MSG(in_flight_ > 0,
+                    "%s: completion for line 0x%" PRIx64
+                    " with no request in flight",
+                    name_.c_str(), done_req->line_addr);
+      --in_flight_;
+    }
     if (done_req->on_complete) done_req->on_complete(*done_req);
   });
 }
@@ -271,13 +285,14 @@ void MemoryController::issue(Pending p, Cycle now) {
 WearStats MemoryController::wear() const {
   WearStats w;
   w.lines_touched = wear_.size();
-  for (const auto& [line, count] : wear_) {
+  wear_.for_each([&w](Addr line, std::uint32_t count) {
     w.total_writes += count;
-    if (count > w.max_writes) {
+    if (count > w.max_writes ||
+        (count == w.max_writes && line < w.hottest_line)) {
       w.max_writes = count;
       w.hottest_line = line;
     }
-  }
+  });
   if (w.lines_touched > 0) {
     w.mean_writes = static_cast<double>(w.total_writes) /
                     static_cast<double>(w.lines_touched);

@@ -13,9 +13,9 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/addr_table.hpp"
 #include "common/config.hpp"
 #include "common/event_queue.hpp"
 #include "common/hot.hpp"
@@ -35,7 +35,7 @@ struct WearStats {
   std::uint64_t total_writes = 0;
   std::uint64_t max_writes = 0;     ///< Hottest line.
   double mean_writes = 0.0;         ///< Over touched lines.
-  Addr hottest_line = 0;
+  Addr hottest_line = 0;            ///< Lowest address among ties.
 };
 
 class MemoryController {
@@ -47,11 +47,18 @@ class MemoryController {
   /// must retry — upstream components carry their own retry buffers).
   bool enqueue(MemRequest req, Cycle now);
 
-  bool read_queue_full() const { return read_q_.size() >= cfg_.read_queue; }
-  bool write_queue_full() const { return write_q_.size() >= cfg_.write_queue; }
-  std::size_t pending_reads() const { return read_q_.size(); }
-  std::size_t pending_writes() const { return write_q_.size(); }
-  bool idle() const { return read_q_.empty() && write_q_.empty() && in_flight_ == 0; }
+  bool read_queue_full() const {
+    return read_q_.entries.size() >= cfg_.read_queue;
+  }
+  bool write_queue_full() const {
+    return write_q_.entries.size() >= cfg_.write_queue;
+  }
+  std::size_t pending_reads() const { return read_q_.entries.size(); }
+  std::size_t pending_writes() const { return write_q_.entries.size(); }
+  bool idle() const {
+    return read_q_.entries.empty() && write_q_.entries.empty() &&
+           in_flight_ == 0;
+  }
 
   /// Advance one memory-channel cycle: pick at most one request to issue.
   void tick(Cycle now);
@@ -63,8 +70,10 @@ class MemoryController {
   /// (in-flight completions are event-driven).
   NTC_HOT Cycle next_event_cycle(Cycle now) const;
 
-  /// Per-rank refresh bookkeeping (no-op when refresh is disabled).
-  void maybe_refresh_(Cycle now);
+  /// Cross-check every tick() that the per-queue "nothing issuable before
+  /// T" bound lets skip its scan against the full scan (on by default in
+  /// Debug builds; the cluster turns it on under skip.verify).
+  void set_verify_idle_bound(bool on) { verify_idle_bound_ = on; }
 
   const std::string& name() const { return name_; }
 
@@ -75,22 +84,43 @@ class MemoryController {
   struct Pending {
     MemRequest req;
     Cycle arrival = 0;
-    /// Decoded once at enqueue (line_addr is immutable afterwards); pick()
-    /// re-examines every queued entry each channel cycle and must not pay
-    /// the full address decode per scan element.
+    /// Decoded once at enqueue (line_addr is immutable afterwards); the
+    /// scheduler re-examines queued entries and must not pay the full
+    /// address decode per scan element.
     BankCoord coord;
     unsigned flat_bank = 0;
+    /// §3 program order: an older entry to the same line is still queued.
+    /// Set at enqueue, cleared when that older entry issues.
+    bool blocked = false;
   };
 
-  /// Index into the given queue of the next schedulable request under
-  /// FR-FCFS with same-address ordering, or -1 if none is issuable now.
-  int pick(const std::deque<Pending>& q, Cycle now) const;
-  /// Earliest cycle > now at which some entry of `q` becomes schedulable,
-  /// assuming no state change before then (mirrors pick()'s constraints).
-  NTC_HOT Cycle queue_next_(const std::deque<Pending>& q, Cycle now) const;
-  bool rank_constrained_(unsigned rank, bool is_read, bool opens_row,
-                         Cycle now) const;
+  /// One request queue plus its idle bound: after a pick() that found
+  /// nothing, no entry can issue before `idle_until` unless the queue or
+  /// the bank/rank timing state changes, and every such change resets it
+  /// to 0 (docs/ARCHITECTURE.md "Clock advance & quiescence").
+  struct RequestQueue {
+    std::deque<Pending> entries;
+    Cycle idle_until = 0;
+  };
+
+  /// Index of the next schedulable entry under FR-FCFS, or -1 if none is
+  /// issuable now; on -1, `*next` is the earliest cycle > now at which
+  /// one becomes schedulable under the frozen timing state.
+  int pick(const std::deque<Pending>& q, Cycle now, Cycle* next) const;
+  /// Earliest cycle at which `p`'s bank is ready and its rank's tFAW (row
+  /// misses only: `hit` is false) and tWTR windows have passed, under the
+  /// current timing state.
+  Cycle ready_cycle_(const Pending& p, bool hit) const;
+  bool try_issue_from_(RequestQueue& q, Cycle now);
+  void push_(RequestQueue& q, MemRequest req, Cycle now);
   void issue(Pending p, Cycle now);
+  /// Deliver `req` to its requester at `when` (`in_flight`: it holds a
+  /// bank slot counted in in_flight_).
+  void complete_at_(Cycle when, MemRequest req, bool in_flight);
+  /// Per-rank refresh bookkeeping (no-op when refresh is disabled).
+  void maybe_refresh_(Cycle now);
+  /// Enter/leave write-drain mode from the current write-queue occupancy.
+  void update_drain_mode_();
 
   std::string name_;
   MemCtrlConfig cfg_;
@@ -98,18 +128,21 @@ class MemoryController {
   StatSet* stats_;
   AddressMap map_;
   std::vector<Bank> banks_;
-  std::deque<Pending> read_q_;
-  std::deque<Pending> write_q_;
-  /// pick() scratch: the queues hold at most 64 entries, so a linear probe
-  /// of a flat vector beats hashing every line address.
-  mutable std::vector<Addr> seen_lines_;
-  std::unordered_map<Addr, std::uint32_t> wear_;  ///< line -> array writes.
+  RequestQueue read_q_;
+  RequestQueue write_q_;
+#ifndef NDEBUG
+  bool verify_idle_bound_ = true;
+#else
+  bool verify_idle_bound_ = false;
+#endif
+  AddrTable<std::uint32_t> wear_;  ///< line -> array writes.
   Cycle bus_busy_until_ = 0;
   std::vector<Cycle> next_refresh_;  ///< Per rank; empty when disabled.
   /// tFAW sliding window: the last four activate times per rank.
   std::vector<std::array<Cycle, 4>> acts_;
   std::vector<Cycle> last_write_end_;  ///< Per rank, for tWTR.
   bool draining_ = false;
+  Cycle last_tick_ = 0;  ///< Cycle of the latest tick().
   unsigned in_flight_ = 0;
 
   CounterHandle stat_reads_;

@@ -67,6 +67,11 @@ class MemorySystem {
   /// the controller accepts it (the write queue is power-fail protected),
   /// not when the array write completes.
   void set_adr_domain(bool adr) { adr_domain_ = adr; }
+  /// Every channel cross-checks its skipped scans (skip.verify).
+  void set_verify_idle_bound(bool on) {
+    dram_.set_verify_idle_bound(on);
+    for (auto& ch : nvm_channels_) ch->set_verify_idle_bound(on);
+  }
 
   bool is_nvm(Addr a) const { return space_.is_persistent(a); }
   const MemoryController& dram() const { return dram_; }

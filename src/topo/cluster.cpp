@@ -16,6 +16,7 @@ Cluster::Cluster(const SystemConfig& cfg, SystemOptions opts,
   for (NodeId i = 0; i < n; ++i) {
     nodes_.push_back(std::make_unique<Node>(cfg_, i, n, events_, &now_, opts,
                                             kiln_cfg));
+    nodes_.back()->memory().set_verify_idle_bound(cfg_.skip.verify);
   }
   // Skip accounting lives on node 0's StatSet, like the cluster's other
   // shared state; resolved once here (the PR 2 handle pattern).

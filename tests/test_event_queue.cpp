@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace ntcsim {
@@ -81,6 +83,77 @@ TEST(EventQueue, ZeroCycleEvent) {
   q.schedule_at(0, [&] { fired = true; });
   q.drain_until(0);
   EXPECT_TRUE(fired);
+}
+
+TEST(EventQueue, SlabReuseKeepsCycleThenInsertionOrder) {
+  // Fired events hand their callback slots back before running, so the
+  // events a callback schedules for `now` and later reuse those slots.
+  // Slot numbers must never leak into the order: it stays (cycle, order
+  // of scheduling) across many rounds of reuse.
+  EventQueue q;
+  std::vector<std::pair<Cycle, int>> fired;
+  int next_id = 0;
+  std::vector<std::pair<Cycle, int>> expected;
+  std::function<void(Cycle, int, int)> spawn = [&](Cycle at, int id,
+                                                   int depth) {
+    fired.emplace_back(at, id);
+    if (depth == 0) return;
+    // Two children: one for this very cycle, one for a later one.
+    const int now_id = next_id++;
+    const int later_id = next_id++;
+    q.schedule_at(at, [&spawn, at, now_id, depth] {
+      spawn(at, now_id, depth - 1);
+    });
+    q.schedule_at(at + 2, [&spawn, at, later_id, depth] {
+      spawn(at + 2, later_id, depth - 1);
+    });
+  };
+  for (int i = 0; i < 4; ++i) {
+    const int id = next_id++;
+    const Cycle at = static_cast<Cycle>(3 - i);  // scheduled out of order
+    q.schedule_at(at, [&spawn, at, id] { spawn(at, id, 4); });
+  }
+  for (Cycle c = 0; c <= 20; ++c) q.drain_until(c);
+  EXPECT_TRUE(q.empty());
+  ASSERT_EQ(fired.size(), 4u * 31u);  // 4 roots, full binary trees of depth 4
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    ASSERT_LE(fired[i - 1].first, fired[i].first) << "at event " << i;
+  }
+  // Within one cycle, ids were handed out in scheduling order — except the
+  // roots, which were scheduled for descending cycles up front.
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    if (fired[i - 1].first == fired[i].first && fired[i - 1].second >= 4 &&
+        fired[i].second >= 4) {
+      EXPECT_LT(fired[i - 1].second, fired[i].second) << "at event " << i;
+    }
+  }
+  EXPECT_EQ(q.total_pushes(), 4u + 4u * 30u);
+}
+
+TEST(EventQueue, ClearResetsSlotsAndReleasesCallbacks) {
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  q.schedule_at(5, [token] {});
+  q.schedule_at(6, [token] {});
+  EXPECT_EQ(token.use_count(), 3);
+  q.clear();
+  EXPECT_EQ(token.use_count(), 1) << "clear() must destroy pending callbacks";
+  EXPECT_EQ(q.total_pushes(), 0u);
+  // The queue is fully usable afterwards, in (cycle, insertion) order.
+  std::vector<int> order;
+  q.schedule_at(2, [&] { order.push_back(2); });
+  q.schedule_at(1, [&] { order.push_back(1); });
+  q.schedule_at(1, [&] { order.push_back(11); });
+  q.drain_until(10);
+  EXPECT_EQ(order, (std::vector<int>{1, 11, 2}));
+}
+
+TEST(EventQueue, FiredCallbacksReleaseTheirCaptures) {
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  q.schedule_at(1, [token] {});
+  q.drain_until(1);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "common/rng.hpp"
 #include "mem/memory_controller.hpp"
 #include "sim/system.hpp"
 #include "workload/workloads.hpp"
@@ -44,6 +47,43 @@ TEST(Wear, CountsArrayWritesPerLine) {
   EXPECT_EQ(w.max_writes, 2u);
   EXPECT_EQ(w.hottest_line, 0u);
   EXPECT_DOUBLE_EQ(w.mean_writes, 1.5);
+}
+
+TEST(Wear, TiesGoToTheLowestLine) {
+  // Every line written twice: the hottest line is the lowest address, not
+  // whichever the counter table happens to visit first.
+  MemCtrlConfig cfg;
+  cfg.ranks = 1;
+  cfg.banks_per_rank = 2;
+  cfg.write_queue = 8;
+  EventQueue events;
+  StatSet stats;
+  MemoryController mc("nvm", cfg, events, stats);
+  Cycle now = 0;
+  auto put = [&](Addr line) {
+    MemRequest w;
+    w.op = MemOp::kWrite;
+    w.line_addr = line;
+    while (!mc.enqueue(w, now)) {
+      events.drain_until(now);
+      mc.tick(now++);
+    }
+  };
+  Rng rng(5);
+  std::set<Addr> lines;
+  while (lines.size() < 64) lines.insert(rng.below(1 << 20) * kLineBytes);
+  for (int round = 0; round < 2; ++round) {
+    for (auto it = lines.rbegin(); it != lines.rend(); ++it) put(*it);
+  }
+  while (!mc.idle() || !events.empty()) {
+    events.drain_until(now);
+    mc.tick(now++);
+  }
+  const WearStats w = mc.wear();
+  EXPECT_EQ(w.lines_touched, 64u);
+  EXPECT_EQ(w.total_writes, 128u);
+  EXPECT_EQ(w.max_writes, 2u);
+  EXPECT_EQ(w.hottest_line, *lines.begin());
 }
 
 TEST(Wear, ReadsDoNotWear) {
