@@ -29,7 +29,7 @@ mem::WearStats run_wear(Mechanism mech, WorkloadKind wl, double scale) {
     sys.load_trace(c, workload::generate(p, c, heap, nullptr));
   }
   sys.run();
-  return sys.memory().nvm_wear();
+  return sys.node(0).memory().nvm_wear();
 }
 
 }  // namespace

@@ -239,9 +239,9 @@ struct NodeConfig {
 #endif
 };
 
-/// Quiescence-aware clock advance (topo::Cluster). When every component
-/// reports itself idle until some future cycle, the cluster jumps the
-/// shared clock there instead of ticking through the gap. Skipped cycles
+/// Quiescence-aware clock advance (sim::Node). When every component of a
+/// node reports itself idle until some future cycle, the node jumps its
+/// clock there instead of ticking through the gap. Skipped cycles
 /// are provably no-ops, so all observable output is bit-identical with
 /// skipping on or off (`--no-skip` is the escape hatch / A-B probe).
 struct SkipConfig {

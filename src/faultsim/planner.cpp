@@ -40,10 +40,10 @@ CrashPlan plan_cell(const SystemConfig& cfg, const sim::SystemOptions& opts,
   plan_opts.force_check_off = true;
   sim::System sys(cfg, plan_opts);
   NTC_ASSERT(crash_node < sys.nodes(), "crash node outside the cluster");
-  EventRecorder recorder(
-      sys.node(crash_node).domain().crash_profile().hazard_mask,
-      sys.cycle_counter());
-  sys.tap_events(crash_node, &recorder);
+  sim::Node& node = sys.node(crash_node);
+  EventRecorder recorder(node.domain().crash_profile().hazard_mask,
+                         node.cycle_counter());
+  node.tap_events(&recorder);
   for (NodeId n = 0; n < node_traces.size() && n < sys.nodes(); ++n) {
     for (CoreId c = 0; c < cfg.cores; ++c) {
       sys.load_trace(n, c, node_traces[n][c]);

@@ -11,22 +11,22 @@
 
 namespace ntcsim::sim {
 
-Node::Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
-           EventQueue& events, const Cycle* clock, SystemOptions opts,
+Node::Node(const SystemConfig& cfg, NodeId id, SystemOptions opts,
            persist::KilnConfig kiln_cfg)
     : cfg_(cfg),
       id_(id),
       opts_(opts),
       domain_(persist::DomainRegistry::instance().create(cfg.mechanism)),
       policy_(domain_->policy()) {
-  mem_ = std::make_unique<mem::MemorySystem>(cfg_, events, stats_);
+  mem_ = std::make_unique<mem::MemorySystem>(cfg_, events_, stats_);
   mem_->set_adr_domain(policy_.adr_domain);
+  mem_->set_verify_idle_bound(cfg_.skip.verify);
   if (cfg_.track_recovery_state) {
     durable_ = std::make_unique<recovery::DurableState>(stats_);
     mem_->set_nvm_observer(durable_.get());
     vimage_ = std::make_unique<recovery::VolatileImage>();
   }
-  hier_ = std::make_unique<cache::Hierarchy>(cfg_, *mem_, events, stats_,
+  hier_ = std::make_unique<cache::Hierarchy>(cfg_, *mem_, events_, stats_,
                                              vimage_.get());
 
   hier_->hooks().drop_persistent_llc_writeback =
@@ -55,7 +55,7 @@ Node::Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
 
   if (policy_.flush_on_commit) {
     kiln_ = std::make_unique<persist::KilnUnit>(
-        cfg_.cores, kiln_cfg, *hier_, events, durable_.get(), stats_);
+        cfg_.cores, kiln_cfg, *hier_, events_, durable_.get(), stats_);
     hier_->hooks().kiln_pin_query = [this](CoreId core, Addr line) {
       return kiln_->pin_query(core, line);
     };
@@ -97,6 +97,8 @@ Node::Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
   m_nvm_writes_ = CounterHandle(stats_, "nvm.writes");
   m_nvm_reads_ = CounterHandle(stats_, "nvm.reads");
   m_dram_writes_ = CounterHandle(stats_, "dram.writes");
+  stat_cycles_skipped_ = CounterHandle(stats_, "sim.cycles_skipped");
+  stat_ticks_executed_ = CounterHandle(stats_, "sim.ticks_executed");
 
   const CheckMode mode = opts_.force_check_off
                              ? CheckMode::kOff
@@ -111,8 +113,8 @@ Node::Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
     if (rules.any()) {
       checker_ = std::make_unique<check::PersistOrderChecker>(
           rules, cfg_.address_space, cfg_.cores, mode == CheckMode::kFatal);
-      checker_->set_clock(clock);
-      if (total_nodes > 1) {
+      checker_->set_clock(&now_);
+      if (cfg_.topo.nodes > 1) {
         checker_->set_scope("node" + std::to_string(id_) + "/");
       }
       mem_->set_check_sink(checker_.get());
@@ -123,6 +125,8 @@ Node::Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
     }
   }
 }
+
+Node::~Node() { Profiler::add_clock_totals(cycles_skipped_, ticks_executed_); }
 
 void Node::tap_events(check::CheckSink* sink) {
   NTC_ASSERT(checker_ == nullptr,
@@ -149,39 +153,115 @@ void Node::load_trace(CoreId core, core::Trace trace) {
   cores_[core]->bind_trace(&traces_[core]);
 }
 
-void Node::tick(Cycle now) {
+void Node::run(Cycle limit, bool stop_when_finished) {
+  // Jumping never changes finished() (it reads component state, not the
+  // clock), so checking once per executed cycle suffices.
+  if (stop_when_finished && finished()) return;
+  while (now_ < limit) {
+    step_();
+    if (stop_when_finished && finished()) return;
+    advance_clock_(limit);
+  }
+}
+
+void Node::step_() {
   // The per-component ProfScopes cost one relaxed load each when profiling
   // is off; under --profile they produce the step.* phase breakdown.
+  {
+    NTC_PROF_SCOPE("step.events");
+    events_.drain_until(now_);
+  }
   {
     // A finished core's tick is a no-op (nothing to fetch, every buffer
     // empty); skipping it keeps uneven multi-core runs from paying for
     // cores that retired early.
     NTC_PROF_SCOPE("step.cores");
     for (auto& c : cores_) {
-      if (!c->finished()) c->tick(now);
+      if (!c->finished()) c->tick(now_);
     }
   }
   {
     NTC_PROF_SCOPE("step.ntc");
-    for (auto& n : ntcs_) n->tick(now);
+    for (auto& n : ntcs_) n->tick(now_);
   }
   if (kiln_ != nullptr) {
     NTC_PROF_SCOPE("step.kiln");
-    kiln_->tick(now, *mem_);
+    kiln_->tick(now_, *mem_);
   }
   {
     NTC_PROF_SCOPE("step.hierarchy");
-    hier_->tick(now);
+    hier_->tick(now_);
   }
   {
     NTC_PROF_SCOPE("step.memory");
-    mem_->tick(now);
+    mem_->tick(now_);
+  }
+  ++now_;
+  ++ticks_executed_;
+  stat_ticks_executed_->inc();
+}
+
+void Node::advance_clock_(Cycle limit) {
+  if (!cfg_.skip.enabled || now_ >= limit) return;
+  // The last executed cycle is now_ - 1; every component's quiescence
+  // contract is relative to it. The earliest event delivery bounds the
+  // jump first: an event callback is external input the components cannot
+  // see coming, and the checker stamps event cycles off the live clock, so
+  // the clock must be exactly right when one fires.
+  Cycle target = events_.empty() ? kNeverCycle : events_.next_cycle();
+  if (target <= now_) return;  // next cycle is live; nothing to skip
+  target = std::min(target, next_event_cycle(now_ - 1));
+  if (target <= now_) return;
+  // kNeverCycle: no component will ever act again and no event is queued.
+  // For an unfinished node that is a deadlock, and the jump to `limit`
+  // makes the cycle cap fast and bit-identical to stepping there.
+  target = std::min(target, limit);
+  if (cfg_.skip.verify) {
+    verify_idle_window_(target);
+    return;
+  }
+  const Cycle skipped = target - now_;
+  cycles_skipped_ += skipped;
+  stat_cycles_skipped_->inc(skipped);
+  now_ = target;
+}
+
+void Node::verify_idle_window_(Cycle target) {
+  // Cross-check mode: execute the window the jump would have skipped and
+  // fail loudly on any sign of work — an event due before the target, a
+  // tick scheduling a new event, or a component moving its next-event
+  // estimate earlier. Any of these means some next_event_cycle()
+  // over-promised and a release-mode jump would have corrupted the run.
+  while (now_ < target) {
+    NTC_CHECK_MSG(events_.empty() || events_.next_cycle() >= target,
+                  "skip.verify: node %u: event due at cycle %llu inside the "
+                  "idle window claimed until %llu (now %llu)",
+                  id_, static_cast<unsigned long long>(events_.next_cycle()),
+                  static_cast<unsigned long long>(target),
+                  static_cast<unsigned long long>(now_));
+    const std::uint64_t pushes_before = events_.total_pushes();
+    step_();
+    NTC_CHECK_MSG(events_.total_pushes() == pushes_before,
+                  "skip.verify: node %u: a tick at cycle %llu scheduled an "
+                  "event inside the idle window claimed until %llu",
+                  id_, static_cast<unsigned long long>(now_ - 1),
+                  static_cast<unsigned long long>(target));
+    const Cycle recomputed =
+        std::min(events_.empty() ? kNeverCycle : events_.next_cycle(),
+                 next_event_cycle(now_ - 1));
+    NTC_CHECK_MSG(recomputed >= target,
+                  "skip.verify: node %u: next-event estimate moved from %llu "
+                  "to %llu after the supposedly idle cycle %llu — a "
+                  "next_event_cycle() over-promised",
+                  id_, static_cast<unsigned long long>(target),
+                  static_cast<unsigned long long>(recomputed),
+                  static_cast<unsigned long long>(now_ - 1));
   }
 }
 
 Cycle Node::next_event_cycle(Cycle now) const {
-  // Same component set tick() visits; a finished core is a permanent no-op
-  // (tick() skips it). Early-out: once any component pins now + 1 the node
+  // Same component set step_() ticks; a finished core is a permanent no-op
+  // (step_() skips it). Early-out: once any component pins now + 1 the node
   // cannot jump, so the remaining queries are skipped.
   Cycle next = kNeverCycle;
   for (const auto& c : cores_) {
@@ -299,7 +379,5 @@ NodeRaw Node::raw() const {
   if (checker_ != nullptr) r.check_violations = checker_->violation_count();
   return r;
 }
-
-Histogram Node::request_latency_histogram() const { return raw().req_hist; }
 
 }  // namespace ntcsim::sim

@@ -1,8 +1,9 @@
 // One node of a cluster: the paper's whole machine — cores + hierarchy +
 // transaction caches + hybrid memory + the selected persistence domain —
-// built from a NodeConfig and ticked by an owning sim::Cluster on a shared
-// clock and event queue. The single-node cluster is the pre-cluster
-// System, cycle-for-cycle.
+// with its own event queue and clock. Nodes never interact once a run
+// starts (the interconnect is stamp-time), so each runs on alone; the
+// owning sim::Cluster only decides where every node's run ends. The
+// single-node cluster is the pre-cluster System, cycle-for-cycle.
 #pragma once
 
 #include <memory>
@@ -72,44 +73,60 @@ Metrics derive(const NodeRaw& r, Cycle cycles, std::uint64_t cores);
 
 class Node {
  public:
-  /// `events` and `clock` belong to the owning Cluster; `clock` must stay
-  /// valid for the node's lifetime (the checker stamps cycles through it).
-  Node(const NodeConfig& cfg, NodeId id, unsigned total_nodes,
-       EventQueue& events, const Cycle* clock, SystemOptions opts,
+  Node(const SystemConfig& cfg, NodeId id, SystemOptions opts,
        persist::KilnConfig kiln_cfg);
+  /// Flushes the skip/tick totals into the self-profiler so `--profile`
+  /// can report the whole-process skip ratio.
+  ~Node();
+  // Component hooks and the checker hold `this` and the clock's address.
+  Node(const Node&) = delete;
+  Node& operator=(const Node&) = delete;
 
   /// Install a workload trace on one core. Applies the SP transform when
   /// the configured domain asks for software logging.
   void load_trace(CoreId core, core::Trace trace);
 
-  /// One simulated cycle of every component, in the fixed order the
-  /// pre-cluster System used (cores, NTCs, Kiln, hierarchy, memory). The
-  /// Cluster drains the shared event queue and advances the clock.
-  void tick(Cycle now);
+  /// Advance the clock toward `limit`: execute a cycle, then jump the idle
+  /// window that follows (quiescence skip), until now() == limit — or,
+  /// with `stop_when_finished`, until the first cycle at which finished()
+  /// holds. A deadlocked node (unfinished, nothing ever due) jumps to
+  /// `limit`.
+  void run(Cycle limit, bool stop_when_finished);
+  Cycle now() const { return now_; }
+  /// The live clock, for external sinks that stamp events themselves
+  /// (mirrors the checker's set_clock wiring).
+  const Cycle* cycle_counter() const { return &now_; }
 
   /// Every core retired its trace and all buffered effects (write-backs,
-  /// NTC drains, flushes) reached memory. The shared event queue is the
-  /// Cluster's to check.
+  /// NTC drains, flushes) reached memory. Leaves out the Kiln unit, whose
+  /// clean backlog ages into writes: a drained node can become undrained.
   bool drained() const;
+  /// drained() with no event pending.
+  bool finished() const { return drained() && events_.empty(); }
 
   /// Earliest cycle > now at which any component of this node could do
-  /// work (min over the per-component quiescence contracts). The Cluster
-  /// min-reduces this across nodes and the shared event queue to pick its
-  /// jump target; see docs/ARCHITECTURE.md "Clock advance & quiescence".
+  /// work (min over the per-component quiescence contracts); run() bounds
+  /// it by the next event delivery to pick its jump target. See
+  /// docs/ARCHITECTURE.md "Clock advance & quiescence".
   NTC_HOT Cycle next_event_cycle(Cycle now) const;
 
+  const EventQueue& events() const { return events_; }
+  /// Quiescence-skip accounting since construction (reset_stats() resets
+  /// the `sim.cycles_skipped` / `sim.ticks_executed` StatSet counters, not
+  /// these lifetime totals). Skipped + executed = elapsed cycles; verify
+  /// mode executes every cycle, so it reports 0 skipped.
+  std::uint64_t cycles_skipped() const { return cycles_skipped_; }
+  std::uint64_t ticks_executed() const { return ticks_executed_; }
+
   /// Metrics over `cycles` elapsed since the last reset_stats() (the
-  /// Cluster tracks the epoch; cycles are global).
+  /// Cluster tracks the epoch; every node ends a run on the same cycle).
   Metrics metrics(Cycle cycles) const { return derive(raw(), cycles, cfg_.cores); }
   /// Raw sums since the last reset_stats(), for exact aggregation.
   NodeRaw raw() const;
-  /// Merged per-core request-latency histogram since the last reset_stats().
-  Histogram request_latency_histogram() const;
   void reset_stats() { stats_.reset(); }
   StatSet& stats() { return stats_; }
   const StatSet& stats() const { return stats_; }
   const NodeConfig& config() const { return cfg_; }
-  NodeId id() const { return id_; }
 
   /// Simulate a power failure at the current cycle and run the configured
   /// domain's recovery procedure over what is durable on this node.
@@ -134,9 +151,25 @@ class Node {
   void tap_events(check::CheckSink* sink);
 
  private:
-  NodeConfig cfg_;
+  /// One simulated cycle: deliver the events due now, then tick every
+  /// component in the fixed order the pre-cluster System used (cores,
+  /// NTCs, Kiln, hierarchy, memory).
+  void step_();
+  /// Quiescence-aware clock advance after an executed step, clamped to
+  /// `limit`; a no-op when skipping is off or the next cycle is live.
+  void advance_clock_(Cycle limit);
+  /// skip.verify: single-step the claimed-idle window instead of jumping,
+  /// aborting loudly if any supposedly skippable cycle did work.
+  void verify_idle_window_(Cycle target);
+
+  SystemConfig cfg_;  ///< The node machine plus topo.nodes and skip.
   NodeId id_ = 0;
   SystemOptions opts_;
+  // Declared before every component: they hold references to it.
+  EventQueue events_;
+  Cycle now_ = 0;
+  std::uint64_t cycles_skipped_ = 0;
+  std::uint64_t ticks_executed_ = 0;
   std::unique_ptr<persist::PersistenceDomain> domain_;
   persist::Policy policy_;  ///< == domain_->policy(), cached.
   StatSet stats_;
@@ -160,6 +193,8 @@ class Node {
   std::vector<CounterHandle> m_ntc_spills_;  ///< One per NTC; empty otherwise.
   CounterHandle m_llc_hits_, m_llc_misses_, m_llc_wb_dropped_;
   CounterHandle m_nvm_writes_, m_nvm_reads_, m_dram_writes_;
+  CounterHandle stat_cycles_skipped_;  ///< sim.cycles_skipped
+  CounterHandle stat_ticks_executed_;  ///< sim.ticks_executed
 };
 
 }  // namespace ntcsim::sim

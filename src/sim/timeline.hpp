@@ -26,8 +26,8 @@ struct TimelineSample {
   /// time-resolved view of a drain burst or commit stall that a whole-run
   /// percentile averages away.
   std::uint64_t window_req_p99 = 0;
-  /// Fraction of this window's cycles the quiescence-aware clock advance
-  /// jumped over (0 with `--no-skip` or skip.verify). Diagnostic only:
+  /// Fraction of this window's node-cycles the quiescence-aware clock
+  /// advance jumped over (0 with `--no-skip` or skip.verify). Diagnostic only:
   /// high values mark genuinely idle stretches of the run.
   double window_skip_ratio = 0.0;
 };

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "sim/profiler.hpp"
 
 namespace ntcsim::sim {
 
@@ -14,18 +13,8 @@ Cluster::Cluster(const SystemConfig& cfg, SystemOptions opts,
   const unsigned n = std::max(1u, cfg_.topo.nodes);
   nodes_.reserve(n);
   for (NodeId i = 0; i < n; ++i) {
-    nodes_.push_back(std::make_unique<Node>(cfg_, i, n, events_, &now_, opts,
-                                            kiln_cfg));
-    nodes_.back()->memory().set_verify_idle_bound(cfg_.skip.verify);
+    nodes_.push_back(std::make_unique<Node>(cfg_, i, opts, kiln_cfg));
   }
-  // Skip accounting lives on node 0's StatSet, like the cluster's other
-  // shared state; resolved once here (the PR 2 handle pattern).
-  stat_cycles_skipped_ = CounterHandle(stats(), "sim.cycles_skipped");
-  stat_ticks_executed_ = CounterHandle(stats(), "sim.ticks_executed");
-}
-
-Cluster::~Cluster() {
-  Profiler::add_clock_totals(cycles_skipped_, ticks_executed_);
 }
 
 void Cluster::load_trace(NodeId node, CoreId core, core::Trace trace) {
@@ -37,116 +26,35 @@ void Cluster::load_trace(CoreId core, core::Trace trace) {
   load_trace(0, core, std::move(trace));
 }
 
-void Cluster::step_() {
-  {
-    NTC_PROF_SCOPE("step.events");
-    events_.drain_until(now_);
-  }
-  for (auto& n : nodes_) n->tick(now_);
-  ++now_;
-  ++ticks_executed_;
-  stat_ticks_executed_->inc();
-}
-
-void Cluster::advance_clock_(Cycle limit) {
-  if (!cfg_.skip.enabled || now_ >= limit) return;
-  // A drained cluster must not advance: the run ends at the first cycle
-  // finished() holds, and a jump here (to the next periodic refresh, say)
-  // would inflate now_ — and the cycles metric — past where the
-  // cycle-stepped run stops. This is the price of skipping: one extra
-  // finished() scan per executed cycle.
-  if (finished()) return;
-  // The last executed cycle is now_ - 1; every component's quiescence
-  // contract is relative to it. The earliest event-queue delivery bounds
-  // the jump first: an event callback is external input the components
-  // cannot see coming, and the checker stamps event cycles off the live
-  // clock, so the clock must be exactly right when one fires.
-  Cycle target = events_.empty() ? kNeverCycle : events_.next_cycle();
-  for (const auto& n : nodes_) {
-    if (target <= now_) return;  // next cycle is live; nothing to skip
-    target = std::min(target, n->next_event_cycle(now_ - 1));
-  }
-  if (target <= now_) return;
-  if (target == kNeverCycle) {
-    // No component will ever act again, the event queue is empty, and the
-    // cluster is not finished (checked above): a deadlock. Jump straight
-    // to the cap for a fast, bit-identical kCycleCap.
-    target = limit;
-  }
-  target = std::min(target, limit);
-  if (target <= now_) return;
-  if (cfg_.skip.verify) {
-    verify_idle_window_(target);
-    return;
-  }
-  const Cycle skipped = target - now_;
-  cycles_skipped_ += skipped;
-  stat_cycles_skipped_->inc(skipped);
-  now_ = target;
-}
-
-void Cluster::verify_idle_window_(Cycle target) {
-  // Cross-check mode: execute the window the jump would have skipped and
-  // fail loudly on any sign of work — an event due before the target, a
-  // tick scheduling a new event, or a component moving its next-event
-  // estimate earlier. Any of these means some next_event_cycle()
-  // over-promised and a release-mode jump would have corrupted the run.
-  while (now_ < target) {
-    NTC_CHECK_MSG(events_.empty() || events_.next_cycle() >= target,
-                  "skip.verify: event due at cycle %llu inside the idle "
-                  "window claimed until %llu (now %llu)",
-                  static_cast<unsigned long long>(events_.next_cycle()),
-                  static_cast<unsigned long long>(target),
-                  static_cast<unsigned long long>(now_));
-    const std::uint64_t pushes_before = events_.total_pushes();
-    step_();
-    NTC_CHECK_MSG(events_.total_pushes() == pushes_before,
-                  "skip.verify: a tick at cycle %llu scheduled an event "
-                  "inside the idle window claimed until %llu",
-                  static_cast<unsigned long long>(now_ - 1),
-                  static_cast<unsigned long long>(target));
-    Cycle recomputed = events_.empty() ? kNeverCycle : events_.next_cycle();
-    for (const auto& n : nodes_) {
-      recomputed = std::min(recomputed, n->next_event_cycle(now_ - 1));
+bool Cluster::run_until_(Cycle limit) {
+  // `end` never passes the first cycle at which every node is finished: it
+  // only rises to some node's own next finished cycle. A node is brought
+  // to `end` even when it finished earlier (memory refresh keeps running
+  // on a drained node), and "finished at end" must be re-checked there,
+  // not inferred from an earlier finish: drained() leaves out the Kiln
+  // unit, whose clean backlog ages into writes. The sweep stops once every
+  // node in a row sits at `end` finished, or at the cap.
+  Cycle end = now();
+  for (std::size_t i = 0, settled = 0; settled < nodes_.size();
+       i = (i + 1) % nodes_.size(), ++settled) {
+    Node& n = *nodes_[i];
+    n.run(end, /*stop_when_finished=*/false);
+    if (end < limit && !n.finished()) {
+      n.run(limit, /*stop_when_finished=*/true);
+      end = n.now();
+      settled = 0;
     }
-    NTC_CHECK_MSG(recomputed >= target,
-                  "skip.verify: next-event estimate moved from %llu to %llu "
-                  "after the supposedly idle cycle %llu — a "
-                  "next_event_cycle() over-promised",
-                  static_cast<unsigned long long>(target),
-                  static_cast<unsigned long long>(recomputed),
-                  static_cast<unsigned long long>(now_ - 1));
-  }
-}
-
-bool Cluster::finished() const {
-  for (const auto& n : nodes_) {
-    if (!n->drained()) return false;
-  }
-  return events_.empty();
-}
-
-RunStatus Cluster::run(Cycle max_cycles) {
-  const Cycle limit = now_ + max_cycles;
-  while (!finished()) {
-    if (now_ >= limit) {
-      timed_out_ = true;
-      return RunStatus::kCycleCap;
-    }
-    step_();
-    advance_clock_(limit);
-  }
-  return RunStatus::kFinished;
-}
-
-bool Cluster::run_for(Cycle cycles) {
-  const Cycle until = now_ + cycles;
-  while (now_ < until && !finished()) {
-    step_();
-    advance_clock_(until);
   }
   return finished();
 }
+
+RunStatus Cluster::run(Cycle max_cycles) {
+  if (run_until_(now() + max_cycles)) return RunStatus::kFinished;
+  timed_out_ = true;
+  return RunStatus::kCycleCap;
+}
+
+bool Cluster::run_for(Cycle cycles) { return run_until_(now() + cycles); }
 
 recovery::WordImage Cluster::crash_and_recover(NodeId node) const {
   NTC_ASSERT(node < nodes_.size(), "crash on a nonexistent node");
@@ -155,11 +63,11 @@ recovery::WordImage Cluster::crash_and_recover(NodeId node) const {
 
 void Cluster::reset_stats() {
   for (auto& n : nodes_) n->reset_stats();
-  stats_epoch_ = now_;
+  stats_epoch_ = now();
 }
 
 Metrics Cluster::metrics() const {
-  const Cycle cycles = now_ - stats_epoch_;
+  const Cycle cycles = now() - stats_epoch_;
   NodeRaw total;
   for (const auto& n : nodes_) total.merge(n->raw());
   Metrics m = derive(total, cycles,
@@ -173,12 +81,6 @@ Metrics Cluster::metrics() const {
                          static_cast<double>(route_.xshard);
   }
   return m;
-}
-
-Histogram Cluster::request_latency_histogram() const {
-  Histogram merged;
-  for (const auto& n : nodes_) merged.merge(n->request_latency_histogram());
-  return merged;
 }
 
 }  // namespace ntcsim::sim

@@ -1,17 +1,17 @@
-// A cluster of sim::Nodes on one shared clock and event queue — the
-// scale-out layer above the paper's single-socket machine. Node 0 of a
-// 1-node cluster is the pre-cluster System, cycle-for-cycle; `sim::System`
-// is now an alias for this class, and the single-node member functions
-// below (core(), ntc(), checker(), ...) keep every existing call site
-// compiling by delegating to node 0.
+// A cluster of sim::Nodes — the scale-out layer above the paper's
+// single-socket machine. Every node owns its event queue and clock, and
+// nodes never interact once a run starts (the interconnect is stamp-time),
+// so the cluster runs them one after another and only decides where each
+// run ends: at the first cycle at which every node is finished at once.
+// Node 0 of a 1-node cluster is the pre-cluster System, cycle-for-cycle;
+// `sim::System` is an alias for this class.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/event_queue.hpp"
-#include "common/stat_handle.hpp"
 #include "sim/metrics.hpp"
 #include "sim/node.hpp"
 #include "topo/interconnect.hpp"
@@ -39,9 +39,6 @@ class Cluster {
  public:
   explicit Cluster(const SystemConfig& cfg, SystemOptions opts = {},
                    persist::KilnConfig kiln_cfg = {});
-  /// Flushes the skip/tick totals into the self-profiler so `--profile`
-  /// can report the whole-process skip ratio.
-  ~Cluster();
 
   unsigned nodes() const { return static_cast<unsigned>(nodes_.size()); }
   Node& node(NodeId n) { return *nodes_[n]; }
@@ -52,25 +49,28 @@ class Cluster {
   /// Node-0 compatibility overload (the whole machine, pre-cluster).
   void load_trace(CoreId core, core::Trace trace);
 
-  /// Run until every node drained, or until `max_cycles` more cycles have
-  /// elapsed — whichever comes first. A kCycleCap return (also latched in
-  /// timed_out()) means the run was truncated; drivers fail loudly on it.
+  /// Run until every node is finished at the same cycle, or until
+  /// `max_cycles` more cycles have elapsed — whichever comes first. A
+  /// kCycleCap return (also latched in timed_out()) means the run was
+  /// truncated; drivers fail loudly on it.
   RunStatus run(Cycle max_cycles = 2'000'000'000ULL);
-  /// Advance exactly `cycles` (crash-injection runs). Returns finished().
+  /// Advance exactly `cycles` (crash-injection runs), stopping early where
+  /// run() would end. Returns finished().
   bool run_for(Cycle cycles);
-  bool finished() const;
+  bool finished() const {
+    return std::all_of(nodes_.begin(), nodes_.end(),
+                       [](const auto& n) { return n->finished(); });
+  }
   /// A previous run() hit its cycle cap before the cluster drained.
   bool timed_out() const { return timed_out_; }
-  Cycle now() const { return now_; }
+  /// Every node's clock; they agree between runs.
+  Cycle now() const { return nodes_[0]->now(); }
 
   /// Aggregate metrics: every node's NodeRaw merged, then derive(). A
   /// single node's metrics are therefore its own, bit for bit (per_node
   /// stays empty); multi-node clusters attach a per-node breakdown plus
   /// the routing stats recorded via note_route_stats().
   Metrics metrics() const;
-  /// Merged request-latency histogram across every node's cores since the
-  /// last reset_stats() (timeline windows diff successive snapshots).
-  Histogram request_latency_histogram() const;
   /// Zero every statistic on every node and start a new measurement epoch
   /// (used between the setup and measured phases; caches stay warm).
   void reset_stats();
@@ -88,67 +88,41 @@ class Cluster {
   recovery::WordImage crash_and_recover(NodeId node) const;
   recovery::WordImage crash_and_recover() const { return crash_and_recover(0); }
 
-  // Node-0 compatibility surface (the pre-cluster System API).
-  core::Core& core(CoreId c) { return nodes_[0]->core(c); }
-  txcache::TxCache* ntc(CoreId c) { return nodes_[0]->ntc(c); }
-  txcache::TxCache* ntc(NodeId n, CoreId c) { return nodes_[n]->ntc(c); }
-  cache::Hierarchy& hierarchy() { return nodes_[0]->hierarchy(); }
-  mem::MemorySystem& memory() { return nodes_[0]->memory(); }
-  const persist::PersistenceDomain& domain() const {
-    return nodes_[0]->domain();
+  /// Event pushes summed over every node's queue (cost-regression guards
+  /// count them).
+  struct EventTotals {
+    std::uint64_t pushes = 0;
+    std::uint64_t total_pushes() const { return pushes; }
+  };
+  EventTotals events() const {
+    return {sum_([](const Node& n) { return n.events().total_pushes(); })};
   }
-  const recovery::DurableState* durable() const {
-    return nodes_[0]->durable();
-  }
-  const check::PersistOrderChecker* checker() const {
-    return nodes_[0]->checker();
-  }
-  const check::PersistOrderChecker* checker(NodeId n) const {
-    return nodes_[n]->checker();
-  }
-  /// Route one node's component check-event taps to an external sink (the
-  /// fault-injection CrashPlanner). See Node::tap_events.
-  void tap_events(NodeId node, check::CheckSink* sink) {
-    nodes_[node]->tap_events(sink);
-  }
-  void tap_events(check::CheckSink* sink) { tap_events(0, sink); }
-  /// The live cycle counter, for external sinks that stamp events
-  /// themselves (mirrors the checker's set_clock wiring).
-  const Cycle* cycle_counter() const { return &now_; }
-  /// Event-queue introspection (cost-regression guards count pushes).
-  const EventQueue& events() const { return events_; }
 
-  /// Quiescence-skip accounting since construction (reset_stats() resets
-  /// the `sim.cycles_skipped` / `sim.ticks_executed` StatSet counters, not
-  /// these lifetime totals). Skipped + executed = elapsed cycles; verify
-  /// mode executes every cycle, so it reports 0 skipped.
-  std::uint64_t cycles_skipped() const { return cycles_skipped_; }
-  std::uint64_t ticks_executed() const { return ticks_executed_; }
+  /// Node-cycle sums of Node::cycles_skipped() / ticks_executed(): skipped
+  /// + executed = nodes() x elapsed cycles.
+  std::uint64_t cycles_skipped() const {
+    return sum_([](const Node& n) { return n.cycles_skipped(); });
+  }
+  std::uint64_t ticks_executed() const {
+    return sum_([](const Node& n) { return n.ticks_executed(); });
+  }
 
  private:
-  void step_();
-  /// Quiescence-aware clock advance: after an executed step, min-reduce
-  /// every node's next_event_cycle() with the earliest event-queue
-  /// delivery and jump now_ there (clamped to `limit`, exclusive of
-  /// nothing — limit itself is a legal landing cycle for run()'s cap
-  /// check). No-op when skipping is off or no cycle can be skipped.
-  void advance_clock_(Cycle limit);
-  /// skip.verify: single-step the claimed-idle window instead of jumping,
-  /// aborting loudly if any supposedly skippable cycle did work.
-  void verify_idle_window_(Cycle target);
+  /// The body of run() and run_for(): end at the first cycle, no later
+  /// than `limit`, at which every node is finished. Returns finished().
+  bool run_until_(Cycle limit);
+  template <typename F>
+  std::uint64_t sum_(F per_node) const {
+    std::uint64_t sum = 0;
+    for (const auto& n : nodes_) sum += per_node(*n);
+    return sum;
+  }
 
   SystemConfig cfg_;
-  EventQueue events_;
-  Cycle now_ = 0;
   std::vector<std::unique_ptr<Node>> nodes_;
   Cycle stats_epoch_ = 0;  ///< Cycle at the last reset_stats().
   bool timed_out_ = false;
   topo::RouteStats route_;
-
-  std::uint64_t cycles_skipped_ = 0;
-  std::uint64_t ticks_executed_ = 0;
-  CounterHandle stat_cycles_skipped_;  ///< sim.cycles_skipped (node 0).
-  CounterHandle stat_ticks_executed_;  ///< sim.ticks_executed (node 0).
 };
 
 }  // namespace ntcsim::sim

@@ -1,7 +1,7 @@
 // Quiescence-aware clock advance (docs/ARCHITECTURE.md "Clock advance &
 // quiescence"): every component answers next_event_cycle(now) — the
 // earliest cycle at which its tick stops being a no-op absent external
-// input — and the cluster jumps the shared clock to the min instead of
+// input — and each node jumps its own clock to the min instead of
 // executing provably idle cycles.
 //
 // Two layers of defense are exercised here:
@@ -201,7 +201,7 @@ TEST(CoreSkip, ArrivalGatedFetchPromisesTheArrivalCycle) {
   sys.load_trace(0, std::move(t));
   sys.run_for(2);  // latch the trace base so arrivals are absolute
   const Cycle now = sys.now() - 1;
-  const Cycle claim = sys.core(0).next_event_cycle(now);
+  const Cycle claim = sys.node(0).core(0).next_event_cycle(now);
   ASSERT_NE(claim, kNeverCycle);
   EXPECT_GT(claim, now + 1) << "arrival gap not surfaced as skippable";
 
@@ -224,10 +224,10 @@ TEST(HierarchySkip, QuiescedIsNeverAndInFlightIsNow) {
   sys.load_trace(0, std::move(t));
   sys.run_for(2);  // the load's LLC miss is now in flight
   const Cycle mid = sys.now() - 1;
-  EXPECT_EQ(sys.hierarchy().next_event_cycle(mid), mid + 1);
+  EXPECT_EQ(sys.node(0).hierarchy().next_event_cycle(mid), mid + 1);
   sys.run();
   const Cycle end = sys.now() - 1;
-  EXPECT_EQ(sys.hierarchy().next_event_cycle(end), kNeverCycle);
+  EXPECT_EQ(sys.node(0).hierarchy().next_event_cycle(end), kNeverCycle);
 }
 
 // ---------------------------------------------------------- bit-identity
@@ -328,6 +328,48 @@ TEST(SkipIdentityModes, SkipActuallySkipsAndAccountsEveryCycle) {
             sys.cycles_skipped());
   EXPECT_EQ(sys.stats().counter_value("sim.ticks_executed"),
             sys.ticks_executed());
+}
+
+// Every node keeps its own clock and skip counters; the cluster reports
+// node-cycle sums, so skipped + executed covers nodes x elapsed cycles,
+// and each node's StatSet mirrors its own lifetime totals.
+TEST(SkipIdentityModes, MultiNodeSkipAccountingCoversEveryNodeCycle) {
+  for (bool verify : {false, true}) {
+    SystemConfig cfg = SystemConfig::tiny();
+    cfg.mechanism = Mechanism::kTc;
+    cfg.skip.verify = verify;
+    cfg.topo.nodes = 3;
+    cfg.service.enabled = true;
+    cfg.service.rate = 0.05;
+    System sys(cfg);
+    for (NodeId n = 0; n < 3; ++n) {
+      workload::WorkloadParams p =
+          workload::default_params(WorkloadKind::kSps);
+      p.setup_elems = 200;
+      p.ops = 10 + 10 * n;  // uneven: the nodes finish at different cycles
+      p.seed = 1 + n;
+      workload::SimHeap heap(cfg.address_space, 1);
+      core::Trace t = workload::generate(p, 0, heap, nullptr);
+      workload::stamp_service_arrivals(t, cfg.service, 0, p.seed, n);
+      sys.load_trace(n, 0, std::move(t));
+    }
+    ASSERT_EQ(sys.run(), RunStatus::kFinished);
+    EXPECT_EQ(sys.cycles_skipped() + sys.ticks_executed(), 3 * sys.now());
+    if (verify) {
+      EXPECT_EQ(sys.cycles_skipped(), 0u);
+    } else {
+      EXPECT_GT(sys.cycles_skipped(), 0u);
+    }
+    for (NodeId n = 0; n < 3; ++n) {
+      const Node& node = sys.node(n);
+      EXPECT_EQ(node.now(), sys.now());
+      EXPECT_EQ(node.cycles_skipped() + node.ticks_executed(), sys.now());
+      EXPECT_EQ(node.stats().counter_value("sim.cycles_skipped"),
+                node.cycles_skipped());
+      EXPECT_EQ(node.stats().counter_value("sim.ticks_executed"),
+                node.ticks_executed());
+    }
+  }
 }
 
 TEST(SkipConfig, TinyPresetVerifiesJumpsEvenInRelease) {

@@ -1,17 +1,21 @@
 // The Node/Cluster topology layer: interconnect hop/serialization math,
 // deterministic sharded routing of the service request stream, cross-node
 // metric aggregation, the run() cycle-cap status, partial-failure crash
-// injection, and the shared --check spelling parser.
+// injection, the multi-node goldens, and the shared --check spelling
+// parser.
 #include "topo/cluster.hpp"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "faultsim/campaign.hpp"
 #include "sim/config_io.hpp"
 #include "sim/experiment.hpp"
+#include "sim/report.hpp"
 #include "topo/interconnect.hpp"
 #include "workload/service.hpp"
 
@@ -144,7 +148,8 @@ TEST(Cluster, AggregatesMetricsAcrossNodesWithPerNodeBreakdown) {
   EXPECT_EQ(m.retired_uops,
             m.per_node[0].retired_uops + m.per_node[1].retired_uops);
   EXPECT_EQ(m.nvm_writes, m.per_node[0].nvm_writes + m.per_node[1].nvm_writes);
-  // Both nodes share one clock, so every breakdown covers the same window.
+  // Every node ends the run on the same cycle, so every breakdown covers
+  // the same window.
   EXPECT_EQ(m.per_node[0].cycles, m.cycles);
   EXPECT_EQ(m.per_node[1].cycles, m.cycles);
 }
@@ -204,6 +209,87 @@ TEST(Cluster, CrashOnOneNodeLeavesTheOthersServing) {
   EXPECT_EQ(r.status, faultsim::CellStatus::kPass);
   EXPECT_GT(r.checks, 0u);
   EXPECT_NE(r.repro.find("--nodes=2"), std::string::npos);
+}
+
+// ---------------------------------------------------- multi-node golden --
+//
+// tests/data/golden_multinode_tiny.csv and golden_crash_sweep_2node.json
+// were captured when every node ticked in lock-step on one shared clock.
+// A run must still end at the first cycle at which every node is finished
+// at once; these goldens pin that end cycle, and with it every per-node
+// metric (memory refresh keeps running on a drained node, so its stats
+// depend on the cluster's length).
+// On a mismatch the actual output is written next to the test binary as
+// `<golden name>.actual` for diffing.
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+void expect_golden(const std::string& name, const std::string& actual) {
+  if (read_file(std::string(NTC_DATA_DIR) + "/" + name) == actual) return;
+  std::ofstream(name + ".actual") << actual;
+  ADD_FAILURE() << "multi-node output drifted from tests/data/" << name
+                << "; the actual output is in " << name << ".actual";
+}
+
+TEST(ClusterGolden, ServiceCellsMatchTheLockStepCluster) {
+  sim::ExperimentOptions opts;
+  opts.scale = 0.02;
+  opts.setup_scale = 0.05;
+  opts.seed = 1;
+  std::ostringstream actual;
+  bool header = true;
+  for (unsigned nodes : {2u, 3u}) {
+    SystemConfig cfg = SystemConfig::tiny();
+    cfg.topo.nodes = nodes;
+    cfg.service.enabled = true;
+    cfg.service.rate = 2.0;
+    for (WorkloadKind wl : {WorkloadKind::kHashtable, WorkloadKind::kSps}) {
+      for (Mechanism mech : sim::matrix_mechanisms()) {
+        const sim::Metrics m = sim::run_cell(mech, wl, cfg, opts);
+        ASSERT_EQ(m.per_node.size(), nodes);
+        sim::write_metrics_csv_row(
+            actual,
+            "nodes" + std::to_string(nodes) + "/" +
+                std::string(to_string(wl)) + "/" +
+                std::string(sim::mechanism_label(mech)),
+            m, header);
+        header = false;
+      }
+    }
+  }
+  expect_golden("golden_multinode_tiny.csv", actual.str());
+}
+
+// Byte for byte what `ntcsim --preset=tiny --nodes=2 --serve --rate=2
+// --crash-sweep --crash-points=8 --workload=hashtable --crash-report=-`
+// prints. The Kiln cells' end_cycle guards the simultaneous-finish rule: a
+// drained Kiln node can become undrained again (its clean backlog ages into
+// writes), so running each node to drained and idling it to the maximum
+// ends these runs early.
+TEST(ClusterGolden, TwoNodeCrashSweepMatchesTheLockStepCluster) {
+  const char* const argv[] = {"ntcsim",           "--preset=tiny",
+                              "--nodes=2",        "--serve",
+                              "--rate=2",         "--crash-sweep",
+                              "--crash-points=8", "--workload=hashtable"};
+  sim::CliOptions cli;
+  ASSERT_TRUE(sim::parse_cli(8, argv, cli).ok);
+  std::vector<std::uint64_t> seeds;
+  for (unsigned s = 1; s <= cli.cfg.crash.seeds; ++s) seeds.push_back(s);
+  faultsim::CampaignOptions opts;
+  opts.repro_prefix = "ntcsim --preset=tiny";
+  const faultsim::CampaignReport report = faultsim::run_campaign(
+      cli.cfg,
+      faultsim::make_cells(faultsim::default_variants(),
+                           {WorkloadKind::kHashtable}, seeds),
+      opts);
+  std::ostringstream actual;
+  faultsim::write_report_json(actual, report, cli.cfg);
+  expect_golden("golden_crash_sweep_2node.json", actual.str());
 }
 
 // ------------------------------------------------------- check parsing --

@@ -142,7 +142,7 @@ TEST(Core, TxRegistersAssignSequentialIds) {
   }
   sys.load_trace(0, t);
   sys.run();
-  EXPECT_EQ(sys.core(0).committed_txs(), 3u);
+  EXPECT_EQ(sys.node(0).core(0).committed_txs(), 3u);
   EXPECT_EQ(sys.metrics().committed_txs, 3u);
 }
 
@@ -186,8 +186,8 @@ TEST(Core, TcStoresLandInTheNtc) {
   EXPECT_EQ(sys.stats().counter_value("ntc0.writes"), 2u);
   EXPECT_EQ(sys.stats().counter_value("ntc0.commits"), 1u);
   // Commit drained to NVM: values durable.
-  EXPECT_EQ(sys.durable()->load(a), 11u);
-  EXPECT_EQ(sys.durable()->load(a + 64), 12u);
+  EXPECT_EQ(sys.node(0).durable()->load(a), 11u);
+  EXPECT_EQ(sys.node(0).durable()->load(a + 64), 12u);
 }
 
 TEST(Core, TcVolatileStoresBypassNtc) {
@@ -213,7 +213,7 @@ TEST(Core, KilnCommitRunsTheEngine) {
   sys.load_trace(0, t);
   sys.run();
   EXPECT_EQ(sys.stats().counter_value("kiln.commits"), 1u);
-  EXPECT_EQ(sys.durable()->load(a), 42u);  // durable at the NV-LLC
+  EXPECT_EQ(sys.node(0).durable()->load(a), 42u);  // durable at the NV-LLC
 }
 
 TEST(Core, KilnBackToBackCommitsSerialize) {
@@ -264,7 +264,7 @@ TEST(Core, ClwbPcommitSequenceCompletes) {
   sys.load_trace(0, t);
   sys.run();
   EXPECT_EQ(sys.stats().counter_value("nvm.writes.log"), 1u);
-  EXPECT_EQ(sys.durable()->load(a), 9u);
+  EXPECT_EQ(sys.node(0).durable()->load(a), 9u);
   EXPECT_GT(sys.stats().counter_value("core0.stall.pcommit"), 0u);
 }
 
@@ -281,10 +281,10 @@ TEST(Core, NtStoresCoalesceIntoOneLineWrite) {
   sys.run();
   EXPECT_EQ(sys.stats().counter_value("nvm.writes.log"), 2u);
   // Payload carried all four words of the first line.
-  EXPECT_EQ(sys.durable()->load(log), 0u);
-  EXPECT_EQ(sys.durable()->load(log + 8), 1u);
-  EXPECT_EQ(sys.durable()->load(log + 24), 3u);
-  EXPECT_EQ(sys.durable()->load(log + 64), 99u);
+  EXPECT_EQ(sys.node(0).durable()->load(log), 0u);
+  EXPECT_EQ(sys.node(0).durable()->load(log + 8), 1u);
+  EXPECT_EQ(sys.node(0).durable()->load(log + 24), 3u);
+  EXPECT_EQ(sys.node(0).durable()->load(log + 64), 99u);
 }
 
 TEST(Core, NtStoreBypassesCaches) {
@@ -299,7 +299,7 @@ TEST(Core, NtStoreBypassesCaches) {
   EXPECT_EQ(sys.stats().counter_value("l1.hits") +
                 sys.stats().counter_value("l1.misses"),
             0u);
-  EXPECT_EQ(sys.hierarchy().l1(0).peek(line_of(log)), nullptr);
+  EXPECT_EQ(sys.node(0).hierarchy().l1(0).peek(line_of(log)), nullptr);
 }
 
 TEST(Core, TrailingWcLineFlushesWithoutFence) {
@@ -312,7 +312,7 @@ TEST(Core, TrailingWcLineFlushesWithoutFence) {
   sys.load_trace(0, t);
   sys.run(200000);
   EXPECT_TRUE(sys.finished());
-  EXPECT_EQ(sys.durable()->load(cfg.address_space.log_base(0)), 42u);
+  EXPECT_EQ(sys.node(0).durable()->load(cfg.address_space.log_base(0)), 42u);
 }
 
 TEST(Core, StoreBufferFullStallsRetirement) {

@@ -264,10 +264,10 @@ CheckResult run_trace(Mechanism mech, CheckMode mode,
   sys.run();
   EXPECT_TRUE(sys.finished());
   CheckResult r;
-  if (sys.checker() != nullptr) {
+  if (sys.node(0).checker() != nullptr) {
     r.checker_present = true;
-    r.violations = sys.checker()->violation_count();
-    for (const check::Violation& v : sys.checker()->violations()) {
+    r.violations = sys.node(0).checker()->violation_count();
+    for (const check::Violation& v : sys.node(0).checker()->violations()) {
       r.rule_ids.insert(check::rule_id(v.rule));
     }
   }

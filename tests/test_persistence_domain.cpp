@@ -196,12 +196,12 @@ TEST(DomainRecovery, DispatchMatchesTheMechanismProcedures) {
   {
     auto sys = run_seeded("optimal", 5000);
     EXPECT_EQ(flatten(sys->crash_and_recover()),
-              flatten(recovery::recover_none(*sys->durable())));
+              flatten(recovery::recover_none(*sys->node(0).durable())));
   }
   for (const char* name : {"sp", "sp-adr"}) {
     auto sys = run_seeded(name, 5000);
     EXPECT_EQ(flatten(sys->crash_and_recover()),
-              flatten(recovery::recover_sp(*sys->durable(),
+              flatten(recovery::recover_sp(*sys->node(0).durable(),
                                            sys->config().address_space,
                                            sys->config().cores)))
         << name;
@@ -210,16 +210,16 @@ TEST(DomainRecovery, DispatchMatchesTheMechanismProcedures) {
     auto sys = run_seeded(name, 5000);
     std::vector<recovery::NtcSnapshot> snaps;
     for (CoreId c = 0; c < sys->config().cores; ++c) {
-      snaps.push_back(sys->ntc(c)->snapshot());
+      snaps.push_back(sys->node(0).ntc(c)->snapshot());
     }
     EXPECT_EQ(flatten(sys->crash_and_recover()),
-              flatten(recovery::recover_tc(*sys->durable(), snaps)))
+              flatten(recovery::recover_tc(*sys->node(0).durable(), snaps)))
         << name;
   }
   {
     auto sys = run_seeded("kiln", 5000);
     EXPECT_EQ(flatten(sys->crash_and_recover()),
-              flatten(recovery::recover_kiln(*sys->durable())));
+              flatten(recovery::recover_kiln(*sys->node(0).durable())));
   }
 }
 

@@ -113,8 +113,8 @@ TEST_P(MechTest, CheckerFindsNoViolationsInHealthyMechanisms) {
                    workload::generate(small_wl(GetParam()), 0, heap, nullptr));
     sys.run();
     EXPECT_EQ(sys.metrics().check_violations, 0u) << mechanism_label(mech);
-    if (sys.checker() != nullptr) {
-      EXPECT_TRUE(sys.checker()->rules().any());
+    if (sys.node(0).checker() != nullptr) {
+      EXPECT_TRUE(sys.node(0).checker()->rules().any());
     }
   }
 }
@@ -154,7 +154,7 @@ TEST(SystemMultiCore, FourCoresRunIndependentWorkloads) {
   sys.run();
   EXPECT_TRUE(sys.finished());
   const auto m = sys.metrics();
-  EXPECT_EQ(m.committed_txs, 4 * sys.core(0).committed_txs());
+  EXPECT_EQ(m.committed_txs, 4 * sys.node(0).core(0).committed_txs());
   for (CoreId c = 0; c < cfg.cores; ++c) {
     EXPECT_GT(sys.stats().counter_value("ntc" + std::to_string(c) + ".writes"),
               0u);

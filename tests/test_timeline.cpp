@@ -68,5 +68,27 @@ TEST(Timeline, WindowRateReflectsActivity) {
   EXPECT_GT(peak, 0.5);  // some window committed transactions
 }
 
+// The run drains partway through its last window: that window's rate is
+// over the cycles it actually covered, not over a whole interval.
+TEST(Timeline, ShortFinalWindowRateUsesItsElapsedCycles) {
+  const Cycle length = sample_run(Mechanism::kTc, 1'000'000'000).back().cycle;
+  const Cycle interval = length * 2 / 3;
+  const auto samples = sample_run(Mechanism::kTc, interval);
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].cycle, interval);
+  EXPECT_EQ(samples[1].cycle, length);
+  ASSERT_LT(length - interval, interval);
+  ASSERT_GT(samples[1].committed_txs, samples[0].committed_txs);
+  Cycle prev_cycle = 0;
+  std::uint64_t prev_txs = 0;
+  for (const TimelineSample& s : samples) {
+    EXPECT_DOUBLE_EQ(s.window_tx_per_kilocycle,
+                     1000.0 * static_cast<double>(s.committed_txs - prev_txs) /
+                         static_cast<double>(s.cycle - prev_cycle));
+    prev_cycle = s.cycle;
+    prev_txs = s.committed_txs;
+  }
+}
+
 }  // namespace
 }  // namespace ntcsim::sim

@@ -117,7 +117,7 @@ TEST(Wear, QueueWorkloadConcentratesOnControlWords) {
   sim::System sys(cfg);
   sys.load_trace(0, workload::generate(p, 0, heap, nullptr));
   sys.run();
-  const WearStats w = sys.memory().nvm_wear();
+  const WearStats w = sys.node(0).memory().nvm_wear();
   ASSERT_GT(w.lines_touched, 0u);
   EXPECT_GT(w.max_writes, 50u);  // ~one control-line write per transaction
   EXPECT_GT(static_cast<double>(w.max_writes), 5.0 * w.mean_writes)

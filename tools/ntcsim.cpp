@@ -264,12 +264,13 @@ int run(const CliOptions& cli) {
     std::cout << "\n-- raw statistics --\n";
     sys.stats().dump(std::cout);
   }
-  if (sys.checker() != nullptr) {
+  if (sys.node(0).checker() != nullptr) {
     std::fprintf(stderr, "persistence-order checker: %llu violation(s)\n",
                  static_cast<unsigned long long>(m.check_violations));
     if (m.check_violations > 0) {
       for (NodeId n = 0; n < sys.nodes(); ++n) {
-        if (sys.checker(n)->violation_count() > 0) sys.checker(n)->report(stderr);
+        const check::PersistOrderChecker* checker = sys.node(n).checker();
+        if (checker->violation_count() > 0) checker->report(stderr);
       }
       return 3;
     }
