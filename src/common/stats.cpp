@@ -100,12 +100,13 @@ void StatSet::reset() {
   for (auto& [_, h] : histograms_) h.reset();
 }
 
-void StatSet::dump(std::ostream& os) const {
+void StatSet::dump(std::ostream& os, const std::string& prefix) const {
   for (const auto& [name, c] : counters_) {
-    os << name << " = " << c.value() << '\n';
+    os << prefix << name << " = " << c.value() << '\n';
   }
   for (const auto& [name, a] : accumulators_) {
-    os << name << " = mean " << a.mean() << " (n=" << a.count() << ")\n";
+    os << prefix << name << " = mean " << a.mean() << " (n=" << a.count()
+       << ")\n";
   }
 }
 

@@ -89,7 +89,8 @@ class StatSet {
   std::uint64_t counter_prefix_sum(const std::string& prefix) const;
 
   void reset();
-  void dump(std::ostream& os) const;
+  /// One "name = value" line per statistic, each name after `prefix`.
+  void dump(std::ostream& os, const std::string& prefix = "") const;
   std::vector<std::string> counter_names() const;
 
   /// Total by-name resolutions (registration + report reads) since

@@ -18,6 +18,7 @@
 
 #include "common/assert.hpp"
 #include "persist/domain.hpp"
+#include "sim/sweep.hpp"
 
 namespace ntcsim::sim {
 
@@ -492,8 +493,10 @@ const std::vector<FlagRow>& flags() {
        "run the full workload x mechanism evaluation matrix instead of a "
        "single cell", nullptr},
       {"--jobs", "=N",
-       "worker threads for --matrix (default: all cores; NTCSIM_JOBS is the "
-       "env equivalent)",
+       "the process's thread budget: matrix and crash-sweep cells and a "
+       "cluster's node rounds run on at most N threads at once (default: "
+       "all cores; 1 = serial, no thread started; NTCSIM_JOBS is the env "
+       "equivalent)",
        value(&CliOptions::jobs, {0, 1024}), true},
       {"--scale", "=X",
        "scale factor on measured ops for --matrix (NTCSIM_SCALE overrides it)",
@@ -634,7 +637,7 @@ ConfigParseResult parse_bench_args(int argc, const char* const* argv,
   }
   if (!e.empty()) return {false, std::move(e)};
   // jobs == 0 ("auto") defers to NTCSIM_JOBS / hardware_concurrency
-  // inside default_jobs(), so the flag wins over the environment.
+  // (sim::set_thread_budget), so the flag wins over the environment.
   out = o;
   return {};
 }
@@ -647,6 +650,7 @@ ExperimentOptions parse_bench_args(int argc, char** argv) {
                  r.error.c_str());
     std::exit(1);
   }
+  set_thread_budget(opts.jobs);
   return opts;
 }
 

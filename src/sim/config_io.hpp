@@ -94,7 +94,8 @@ ConfigParseResult parse_cli(int argc, const char* const* argv,
                             CliOptions& out);
 
 /// Like parse_bench_args(argc, argv) (sim/experiment.hpp), but returns the
-/// first bad argument instead of exiting.
+/// first bad argument instead of exiting, and leaves the thread budget
+/// alone.
 ConfigParseResult parse_bench_args(int argc, const char* const* argv,
                                    ExperimentOptions& out);
 

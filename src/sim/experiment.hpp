@@ -43,8 +43,9 @@ struct ExperimentOptions {
   /// Skip functional recovery tracking for pure performance sweeps (~15 %
   /// faster); the figure benches leave it on.
   bool track_recovery = false;
-  /// Worker threads for run_matrix / run_sweep. 0 = auto (NTCSIM_JOBS or
-  /// hardware_concurrency, see sweep.hpp); 1 = the serial path.
+  /// Width of run_matrix / run_sweep batches. 0 = the thread budget
+  /// (NTCSIM_JOBS or hardware_concurrency, see sweep.hpp); 1 = the serial
+  /// path.
   unsigned jobs = 0;
   /// Self-profiling (`--profile[=FILE]`): time the simulator's own phases
   /// and emit a machine-readable report when the sweep finishes. Purely
@@ -86,8 +87,9 @@ void print_figure(std::ostream& os, const std::string& title,
                   const std::string& caption);
 
 /// Parse bench argv: optional positional scale factor, `--scale=X` (or
-/// `--scale X`), `--jobs=N`/`--jobs N` (worker threads; NTCSIM_JOBS is the
-/// env equivalent, the flag wins), and `--profile[=FILE]` (self-perf
+/// `--scale X`), `--jobs=N`/`--jobs N` (the process's thread budget, set
+/// here via sim::set_thread_budget; NTCSIM_JOBS is the env equivalent, the
+/// flag wins), and `--profile[=FILE]` (self-perf
 /// report, default BENCH_selfperf.json). NTCSIM_SCALE overrides any argv
 /// scale. These are rows of the `ntcsim` flag table (sim/config_io.hpp);
 /// a bad or unknown argument prints a message and exits 1.

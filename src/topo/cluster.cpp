@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "sim/sweep.hpp"
 
 namespace ntcsim::sim {
 
@@ -27,25 +28,30 @@ void Cluster::load_trace(CoreId core, core::Trace trace) {
 }
 
 bool Cluster::run_until_(Cycle limit) {
-  // `end` never passes the first cycle at which every node is finished: it
-  // only rises to some node's own next finished cycle. A node is brought
-  // to `end` even when it finished earlier (memory refresh keeps running
-  // on a drained node), and "finished at end" must be re-checked there,
-  // not inferred from an earlier finish: drained() leaves out the Kiln
-  // unit, whose clean backlog ages into writes. The sweep stops once every
-  // node in a row sits at `end` finished, or at the cap.
-  Cycle end = now();
-  for (std::size_t i = 0, settled = 0; settled < nodes_.size();
-       i = (i + 1) % nodes_.size(), ++settled) {
-    Node& n = *nodes_[i];
-    n.run(end, /*stop_when_finished=*/false);
-    if (end < limit && !n.finished()) {
-      n.run(limit, /*stop_when_finished=*/true);
-      end = n.now();
-      settled = 0;
-    }
+  // Rounds of independent node jobs. Each round brings every node to `end`
+  // — a node that finished earlier still runs on there: memory refresh
+  // keeps its stats moving — and runs a node that is not finished at `end`
+  // on to its own next finished cycle (or the limit). "Finished at end"
+  // is re-checked at `end`, never inferred from an earlier finish:
+  // drained() leaves out the Kiln unit, whose clean backlog ages into
+  // writes. `end` then rises to the latest node, which is some node's own
+  // first finished cycle at or after `end`, so it never passes the first
+  // cycle at which every node is finished at once; the rounds stop when
+  // no node moved past `end`. A 1-node round runs inline, and a node's
+  // job touches only that node, so the result is the same on any thread.
+  for (Cycle end = now();;) {
+    parallel_for(nodes_.size(), 0, [&](std::size_t i) {
+      Node& n = *nodes_[i];
+      n.run(end, /*stop_when_finished=*/false);
+      if (end < limit && !n.finished()) {
+        n.run(limit, /*stop_when_finished=*/true);
+      }
+    });
+    Cycle latest = end;
+    for (const auto& n : nodes_) latest = std::max(latest, n->now());
+    if (latest == end) return finished();
+    end = latest;
   }
-  return finished();
 }
 
 RunStatus Cluster::run(Cycle max_cycles) {

@@ -1,8 +1,10 @@
 // A cluster of sim::Nodes — the scale-out layer above the paper's
 // single-socket machine. Every node owns its event queue and clock, and
 // nodes never interact once a run starts (the interconnect is stamp-time),
-// so the cluster runs them one after another and only decides where each
-// run ends: at the first cycle at which every node is finished at once.
+// so the cluster runs them as independent jobs in rounds on the process's
+// worker pool (sim/sweep.hpp) and only decides where each run ends: at the
+// first cycle at which every node is finished at once. The outputs do not
+// depend on the thread budget; a 1-node cluster never touches the pool.
 // Node 0 of a 1-node cluster is the pre-cluster System, cycle-for-cycle;
 // `sim::System` is an alias for this class.
 #pragma once
@@ -109,7 +111,8 @@ class Cluster {
 
  private:
   /// The body of run() and run_for(): end at the first cycle, no later
-  /// than `limit`, at which every node is finished. Returns finished().
+  /// than `limit`, at which every node is finished, in rounds of parallel
+  /// node jobs. Returns finished().
   bool run_until_(Cycle limit);
   template <typename F>
   std::uint64_t sum_(F per_node) const {

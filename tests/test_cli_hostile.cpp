@@ -5,7 +5,9 @@
 // run on nonsense (0). The ntcsim cases drive the real binary; the bench
 // cases go through parse_bench_args, the entry point every bench shares.
 // Also pins `--dump-config` for each preset against tests/data goldens so a
-// table edit cannot reorder or reformat the dump silently.
+// table edit cannot reorder or reformat the dump silently, and the
+// `--stats` dump of single- and multi-node runs against the library's own
+// StatSets.
 #include "sim/config_io.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +21,11 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "recovery/journal.hpp"
+#include "sim/experiment.hpp"
+#include "sim/sweep.hpp"
+#include "sim/system.hpp"
 
 namespace ntcsim::sim {
 namespace {
@@ -117,6 +124,58 @@ TEST(CliHostile, DumpConfigMatchesTheGoldens) {
                                    "", /*want_stderr=*/false);
     EXPECT_EQ(r.exit_code, 0);
     EXPECT_EQ(r.out, golden);
+  }
+}
+
+/// What `ntcsim <args> --stats` prints after its "-- raw statistics --"
+/// line, computed in-process the way tools/ntcsim.cpp runs a cell: a
+/// single node's StatSet dump as it is, or every node's under `nodeK.`.
+std::string expected_stats(const std::vector<const char*>& args) {
+  std::vector<const char*> argv = {"ntcsim"};
+  argv.insert(argv.end(), args.begin(), args.end());
+  CliOptions cli;
+  EXPECT_TRUE(parse_cli(static_cast<int>(argv.size()), argv.data(), cli).ok);
+  set_thread_budget(1);
+  recovery::Journal journal(cli.cfg.cores);
+  CellWorkload w = generate_cell(cli.cfg, cli.params(), &journal);
+  System sys(cli.cfg);
+  load_phase(sys, w, /*measured=*/false);
+  EXPECT_EQ(sys.run(), RunStatus::kFinished);
+  sys.reset_stats();
+  sys.note_route_stats(w.route);
+  load_phase(sys, w, /*measured=*/true);
+  EXPECT_EQ(sys.run(), RunStatus::kFinished);
+  set_thread_budget(0);
+  std::ostringstream out;
+  for (NodeId n = 0; n < sys.nodes(); ++n) {
+    std::ostringstream dump;
+    sys.node(n).stats().dump(dump);
+    std::istringstream lines(dump.str());
+    for (std::string line; std::getline(lines, line);) {
+      if (sys.nodes() > 1) out << "node" << n << '.';
+      out << line << '\n';
+    }
+  }
+  return out.str();
+}
+
+TEST(CliStats, DumpsEveryNodeUnderItsPrefix) {
+  for (const char* nodes : {"--nodes=1", "--nodes=3"}) {
+    SCOPED_TRACE(nodes);
+    const std::vector<const char*> args = {
+        "--preset=tiny", "--workload=hashtable", "--serve", "--rate=2",
+        "--requests=20",  "--setup=300",          nodes};
+    std::string cmd;
+    for (const char* a : args) cmd += std::string(a) + " ";
+    const RunResult r = run_ntcsim(cmd + "--stats", "", /*want_stderr=*/false);
+    ASSERT_EQ(r.exit_code, 0);
+    const std::string marker = "\n-- raw statistics --\n";
+    const std::size_t at = r.out.find(marker);
+    ASSERT_NE(at, std::string::npos) << r.out;
+    const std::string dumped = r.out.substr(at + marker.size());
+    EXPECT_EQ(dumped, expected_stats(args));
+    const bool prefixed = dumped.rfind("node0.", 0) == 0;
+    EXPECT_EQ(prefixed, std::string(nodes) != "--nodes=1");
   }
 }
 

@@ -1,7 +1,8 @@
 // The Node/Cluster topology layer: interconnect hop/serialization math,
 // deterministic sharded routing of the service request stream, cross-node
 // metric aggregation, the run() cycle-cap status, partial-failure crash
-// injection, the multi-node goldens, and the shared --check spelling
+// injection, the multi-node goldens under every thread budget, parallel
+// node rounds matching the serial ones, and the shared --check spelling
 // parser.
 #include "topo/cluster.hpp"
 
@@ -13,9 +14,11 @@
 #include <vector>
 
 #include "faultsim/campaign.hpp"
+#include "persist/policy.hpp"
 #include "sim/config_io.hpp"
 #include "sim/experiment.hpp"
 #include "sim/report.hpp"
+#include "sim/sweep.hpp"
 #include "topo/interconnect.hpp"
 #include "workload/service.hpp"
 
@@ -236,33 +239,48 @@ void expect_golden(const std::string& name, const std::string& actual) {
                 << "; the actual output is in " << name << ".actual";
 }
 
+/// Sets the process's thread budget for one scope, then restores the
+/// default. Budget 1 runs node rounds inline; budget 4 on the pool.
+struct ScopedBudget {
+  explicit ScopedBudget(unsigned jobs) { sim::set_thread_budget(jobs); }
+  ~ScopedBudget() { sim::set_thread_budget(0); }
+  ScopedBudget(const ScopedBudget&) = delete;
+  ScopedBudget& operator=(const ScopedBudget&) = delete;
+};
+
+constexpr unsigned kBudgets[] = {1, 4};
+
 TEST(ClusterGolden, ServiceCellsMatchTheLockStepCluster) {
-  sim::ExperimentOptions opts;
-  opts.scale = 0.02;
-  opts.setup_scale = 0.05;
-  opts.seed = 1;
-  std::ostringstream actual;
-  bool header = true;
-  for (unsigned nodes : {2u, 3u}) {
-    SystemConfig cfg = SystemConfig::tiny();
-    cfg.topo.nodes = nodes;
-    cfg.service.enabled = true;
-    cfg.service.rate = 2.0;
-    for (WorkloadKind wl : {WorkloadKind::kHashtable, WorkloadKind::kSps}) {
-      for (Mechanism mech : sim::matrix_mechanisms()) {
-        const sim::Metrics m = sim::run_cell(mech, wl, cfg, opts);
-        ASSERT_EQ(m.per_node.size(), nodes);
-        sim::write_metrics_csv_row(
-            actual,
-            "nodes" + std::to_string(nodes) + "/" +
-                std::string(to_string(wl)) + "/" +
-                std::string(sim::mechanism_label(mech)),
-            m, header);
-        header = false;
+  for (const unsigned budget : kBudgets) {
+    SCOPED_TRACE("thread budget " + std::to_string(budget));
+    ScopedBudget scoped(budget);
+    sim::ExperimentOptions opts;
+    opts.scale = 0.02;
+    opts.setup_scale = 0.05;
+    opts.seed = 1;
+    std::ostringstream actual;
+    bool header = true;
+    for (unsigned nodes : {2u, 3u}) {
+      SystemConfig cfg = SystemConfig::tiny();
+      cfg.topo.nodes = nodes;
+      cfg.service.enabled = true;
+      cfg.service.rate = 2.0;
+      for (WorkloadKind wl : {WorkloadKind::kHashtable, WorkloadKind::kSps}) {
+        for (Mechanism mech : sim::matrix_mechanisms()) {
+          const sim::Metrics m = sim::run_cell(mech, wl, cfg, opts);
+          ASSERT_EQ(m.per_node.size(), nodes);
+          sim::write_metrics_csv_row(
+              actual,
+              "nodes" + std::to_string(nodes) + "/" +
+                  std::string(to_string(wl)) + "/" +
+                  std::string(sim::mechanism_label(mech)),
+              m, header);
+          header = false;
+        }
       }
     }
+    expect_golden("golden_multinode_tiny.csv", actual.str());
   }
-  expect_golden("golden_multinode_tiny.csv", actual.str());
 }
 
 // Byte for byte what `ntcsim --preset=tiny --nodes=2 --serve --rate=2
@@ -272,24 +290,96 @@ TEST(ClusterGolden, ServiceCellsMatchTheLockStepCluster) {
 // writes), so running each node to drained and idling it to the maximum
 // ends these runs early.
 TEST(ClusterGolden, TwoNodeCrashSweepMatchesTheLockStepCluster) {
-  const char* const argv[] = {"ntcsim",           "--preset=tiny",
-                              "--nodes=2",        "--serve",
-                              "--rate=2",         "--crash-sweep",
-                              "--crash-points=8", "--workload=hashtable"};
-  sim::CliOptions cli;
-  ASSERT_TRUE(sim::parse_cli(8, argv, cli).ok);
-  std::vector<std::uint64_t> seeds;
-  for (unsigned s = 1; s <= cli.cfg.crash.seeds; ++s) seeds.push_back(s);
-  faultsim::CampaignOptions opts;
-  opts.repro_prefix = "ntcsim --preset=tiny";
-  const faultsim::CampaignReport report = faultsim::run_campaign(
-      cli.cfg,
-      faultsim::make_cells(faultsim::default_variants(),
-                           {WorkloadKind::kHashtable}, seeds),
-      opts);
-  std::ostringstream actual;
-  faultsim::write_report_json(actual, report, cli.cfg);
-  expect_golden("golden_crash_sweep_2node.json", actual.str());
+  for (const unsigned budget : kBudgets) {
+    SCOPED_TRACE("thread budget " + std::to_string(budget));
+    ScopedBudget scoped(budget);
+    const char* const argv[] = {"ntcsim",           "--preset=tiny",
+                                "--nodes=2",        "--serve",
+                                "--rate=2",         "--crash-sweep",
+                                "--crash-points=8", "--workload=hashtable"};
+    sim::CliOptions cli;
+    ASSERT_TRUE(sim::parse_cli(8, argv, cli).ok);
+    std::vector<std::uint64_t> seeds;
+    for (unsigned s = 1; s <= cli.cfg.crash.seeds; ++s) seeds.push_back(s);
+    faultsim::CampaignOptions opts;
+    opts.repro_prefix = "ntcsim --preset=tiny";
+    const faultsim::CampaignReport report = faultsim::run_campaign(
+        cli.cfg,
+        faultsim::make_cells(faultsim::default_variants(),
+                             {WorkloadKind::kHashtable}, seeds),
+        opts);
+    std::ostringstream actual;
+    faultsim::write_report_json(actual, report, cli.cfg);
+    expect_golden("golden_crash_sweep_2node.json", actual.str());
+  }
+}
+
+// --------------------------------------------------------- node rounds --
+//
+// A cluster runs its nodes as parallel jobs in rounds. A node's job touches
+// only that node and the rounds' stopping points do not depend on which
+// thread ran which job, so every output — the Metrics CSV rows and every
+// node's raw StatSet, skip counters included — must be byte-identical
+// between budget 1 (rounds inline) and budget 4 (rounds on the pool).
+
+/// One service cell, run the way sim::run_cell runs it: its Metrics CSV
+/// rows followed by every node's StatSet dump.
+std::string service_cell_outputs(Mechanism mech, WorkloadKind wl,
+                                 unsigned nodes) {
+  SystemConfig cfg = SystemConfig::tiny();
+  cfg.mechanism = mech;
+  cfg.track_recovery_state = persist::policy_for(mech).needs_recovery_images;
+  cfg.topo.nodes = nodes;
+  cfg.service.enabled = true;
+  cfg.service.rate = 2.0;
+  cfg.service.requests = 30;
+  workload::WorkloadParams params = workload::default_params(wl);
+  params.ops = cfg.service.requests;
+  params.setup_elems /= 20;
+  sim::CellWorkload w = sim::generate_cell(cfg, params);
+  sim::System sys(cfg);
+  sim::load_phase(sys, w, /*measured=*/false);
+  EXPECT_EQ(sys.run(), sim::RunStatus::kFinished);
+  sys.reset_stats();
+  sys.note_route_stats(w.route);
+  sim::load_phase(sys, w, /*measured=*/true);
+  EXPECT_EQ(sys.run(), sim::RunStatus::kFinished);
+  std::ostringstream out;
+  sim::write_metrics_csv_row(out, "cell", sys.metrics(), /*header=*/true);
+  for (NodeId n = 0; n < sys.nodes(); ++n) {
+    out << "-- node " << n << " --\n";
+    sys.node(n).stats().dump(out);
+  }
+  return out.str();
+}
+
+TEST(NodeRounds, EveryBudgetGivesTheSameOutputs) {
+  std::uint64_t pooled_helper_items = 0;
+  for (const unsigned nodes : {2u, 3u, 4u}) {
+    for (const WorkloadKind wl :
+         {WorkloadKind::kHashtable, WorkloadKind::kSps}) {
+      for (const Mechanism mech : sim::matrix_mechanisms()) {
+        SCOPED_TRACE(std::to_string(nodes) + " nodes, " +
+                     std::string(to_string(wl)) + "/" +
+                     std::string(sim::mechanism_label(mech)));
+        std::string serial, pooled;
+        {
+          ScopedBudget scoped(1);
+          serial = service_cell_outputs(mech, wl, nodes);
+        }
+        const std::uint64_t helped = sim::pool_stats().helper_items;
+        {
+          ScopedBudget scoped(4);
+          pooled = service_cell_outputs(mech, wl, nodes);
+        }
+        pooled_helper_items += sim::pool_stats().helper_items - helped;
+        EXPECT_EQ(serial, pooled);
+      }
+    }
+  }
+  // Budget 4 really ran node jobs on pool workers, not only on the
+  // calling thread.
+  EXPECT_GT(pooled_helper_items, 0u);
 }
 
 // ------------------------------------------------------- check parsing --

@@ -1,14 +1,19 @@
 // The parallel sweep runner's contract: worker-thread execution is
 // invisible in the results — bit-identical Metrics to the serial path —
-// and the thread pool itself orders results, propagates exceptions, and
-// degrades to inline execution at jobs=1.
+// and the process-wide pool itself orders results, propagates exceptions,
+// keeps nested batches within the thread budget, blocks waiting callers,
+// and degrades to inline execution at jobs=1 or a budget of 1.
 #include "sim/sweep.hpp"
 
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "sim/experiment.hpp"
@@ -72,6 +77,178 @@ TEST(RunJobs, ResultsArriveInIndexOrder) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], i * i);
   }
+}
+
+/// Sets the process's thread budget for one test, then restores the
+/// default.
+struct ScopedBudget {
+  explicit ScopedBudget(unsigned jobs) { set_thread_budget(jobs); }
+  ~ScopedBudget() { set_thread_budget(0); }
+  ScopedBudget(const ScopedBudget&) = delete;
+  ScopedBudget& operator=(const ScopedBudget&) = delete;
+};
+
+/// A 1 ms item that records the most items ever running at once.
+struct PeakItems {
+  std::atomic<unsigned> running{0}, peak{0}, done{0};
+  void item() {
+    const unsigned now = ++running;
+    unsigned seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    --running;
+    ++done;
+  }
+};
+
+TEST(Pool, NestedBatchesNeverRunMoreItemsThanTheBudget) {
+  // An outer width of 2 leaves each outer item a share of budget / 2
+  // threads for its nested batch; the full width leaves it its own thread.
+  for (const unsigned budget : {2u, 3u, 4u, 5u}) {
+    for (const unsigned outer_jobs : {0u, 2u}) {
+      ScopedBudget scoped(budget);
+      PeakItems items;
+      parallel_for(6, outer_jobs, [&](std::size_t) {
+        parallel_for(8, 0, [&](std::size_t) { items.item(); });
+      });
+      EXPECT_EQ(items.done.load(), 6u * 8u) << "budget " << budget;
+      EXPECT_LE(items.peak.load(), budget) << "budget " << budget;
+    }
+  }
+}
+
+TEST(Pool, NestedBatchRunsInFixedSlots) {
+  ScopedBudget scoped(4);
+  // Each of the two outer items has a share of 2 threads, so its nested
+  // batch runs in two slots: items 0-3 on the outer item's own thread, and
+  // items 4-7 together on one thread.
+  std::thread::id outer[2];
+  std::thread::id ran[2][8];
+  PeakItems items;
+  parallel_for(2, 2, [&](std::size_t o) {
+    outer[o] = std::this_thread::get_id();
+    parallel_for(8, 0, [&](std::size_t i) {
+      ran[o][i] = std::this_thread::get_id();
+      items.item();
+    });
+  });
+  for (std::size_t o = 0; o < 2; ++o) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      if (i < 4) {
+        EXPECT_EQ(ran[o][i], outer[o]) << o << "/" << i;
+      }
+      EXPECT_EQ(ran[o][i], ran[o][i / 4 * 4]) << o << "/" << i;
+    }
+  }
+  EXPECT_EQ(items.done.load(), 16u);
+  EXPECT_LE(items.peak.load(), 4u);
+}
+
+TEST(Pool, NestedExceptionReachesItsOwnCallerOnly) {
+  ScopedBudget scoped(4);
+  std::atomic<int> finished_outer{0};
+  std::atomic<bool> caught{false};
+  // Outer width 2: item 1's nested batch has a share of 2 threads.
+  parallel_for(4, 2, [&](std::size_t i) {
+    if (i == 1) {
+      try {
+        parallel_for(8, 0, [](std::size_t j) {
+          if (j >= 5) throw std::runtime_error("inner " + std::to_string(j));
+        });
+      } catch (const std::runtime_error& e) {
+        caught = std::string(e.what()).rfind("inner ", 0) == 0;
+      }
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ++finished_outer;
+  });
+  EXPECT_TRUE(caught.load());
+  EXPECT_EQ(finished_outer.load(), 4);  // siblings ran to completion
+}
+
+TEST(Pool, RethrowsTheLowestFailedIndex) {
+  ScopedBudget scoped(4);
+  // The caller claims index 0 before any worker can join, so 0 always
+  // starts and is always the lowest failure.
+  try {
+    parallel_for(16, 0, [](std::size_t i) {
+      throw std::runtime_error(std::to_string(i));
+    });
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "0");
+  }
+}
+
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+TEST(Pool, CallerBlocksWhileAHelperFinishes) {
+  ScopedBudget scoped(2);
+  std::atomic<bool> helper_started{false};
+  const double cpu_before = thread_cpu_s();
+  const auto wall_before = std::chrono::steady_clock::now();
+  parallel_for(2, 0, [&](std::size_t i) {
+    if (i == 1) {
+      helper_started = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      return;
+    }
+    // Hold index 0 until a worker has taken index 1, so the caller ends up
+    // waiting on that worker.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!helper_started && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  ASSERT_TRUE(helper_started.load());
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_before)
+                          .count();
+  EXPECT_GE(wall, 0.25);
+  // A spinning caller would burn about the helper's 300 ms.
+  EXPECT_LT(thread_cpu_s() - cpu_before, 0.1);
+}
+
+TEST(Pool, BudgetOfOneStartsNoThreadAndRunsInline) {
+  ScopedBudget scoped(1);
+  const PoolStats before = pool_stats();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t expected = 0;
+  parallel_for(16, 8, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(i, expected++);
+  });
+  EXPECT_EQ(expected, 16u);
+  // Node rounds of a multi-node cell stay on the caller too.
+  SystemConfig cfg = SystemConfig::tiny();
+  cfg.topo.nodes = 3;
+  cfg.service.enabled = true;
+  cfg.service.rate = 2.0;
+  cfg.service.requests = 10;
+  ExperimentOptions opts;
+  opts.setup_scale = 0.01;
+  EXPECT_GT(run_cell(Mechanism::kTc, WorkloadKind::kHashtable, cfg, opts)
+                .requests,
+            0u);
+  const PoolStats after = pool_stats();
+  EXPECT_EQ(after.threads_started, before.threads_started);
+  EXPECT_EQ(after.helper_items, before.helper_items);
+}
+
+TEST(Pool, BudgetCapsAnExplicitBatchWidth) {
+  ScopedBudget scoped(2);
+  PeakItems items;
+  parallel_for(32, 16, [&](std::size_t) { items.item(); });
+  EXPECT_EQ(items.done.load(), 32u);
+  EXPECT_LE(items.peak.load(), 2u);
 }
 
 TEST(DefaultJobs, HonorsEnvironmentVariable) {

@@ -262,7 +262,10 @@ int run(const CliOptions& cli) {
   }
   if (cli.has("--stats")) {
     std::cout << "\n-- raw statistics --\n";
-    sys.stats().dump(std::cout);
+    for (NodeId n = 0; n < sys.nodes(); ++n) {
+      sys.node(n).stats().dump(
+          std::cout, sys.nodes() > 1 ? "node" + std::to_string(n) + "." : "");
+    }
   }
   if (sys.node(0).checker() != nullptr) {
     std::fprintf(stderr, "persistence-order checker: %llu violation(s)\n",
@@ -298,6 +301,7 @@ int main(int argc, char** argv) {
     sim::write_config(std::cout, cli.cfg);
     return 0;
   }
+  sim::set_thread_budget(cli.jobs);
   // Opened here (not in run_matrix_mode) so single-cell runs profile too;
   // the inner session run_sweep would open is inert while this one lives.
   std::unique_ptr<sim::ProfileSession> session;
